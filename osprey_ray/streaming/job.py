@@ -1,28 +1,35 @@
 """StreamingJob — micro-batch epoch driver with exactly-once sink + resume.
 
 The streaming analogue of the reference's Kafka → coordinator → worker loop
-(/root/reference SURVEY §3.1), re-expressed for a replayable Parquet log:
+(/root/reference SURVEY §3.1), re-expressed for replayable inputs:
 
-- the input is an ordered list of segment files (the "Kafka log"; offsets =
-  file indices — kafka.rs:112-116 manual-commit semantics become manifest
-  commits);
+- the input is an :class:`osprey_ray.streaming.source.InputStream` — a
+  pre-listed segment log (``segment_files``, wrapped in a
+  :class:`SegmentLogStream`; offsets = file / row-group positions), a
+  Kafka-, PubSub- or any other poll-based connector.  One loop drives them
+  all: poll → process → commit manifest → ack, so consumer commits never
+  run ahead of the sink (kafka.rs:112-116 manual-commit semantics become
+  manifest commits);
 - per epoch: read+stateless-eval+route tasks fan the rows out to P
   persistent :class:`StateShard` actors (the hash-ring analogue,
-  worker/lib/etcd/ring.py, with crc32(conv_id) % P);
-- the event-time watermark advances as ``max(seen ts) - allowed_lateness``,
-  monotonically; shards release and evaluate rows ≤ watermark in order;
+  worker/lib/etcd/ring.py, with crc32(conv_id) % P); epoch e+1 is polled
+  and read while e is processed;
+- the event-time watermark advances as ``max(seen ts) - allowed_lateness``
+  (or the source's own per-partition basis), monotonically; shards release
+  and evaluate rows ≤ watermark in order;
 - after all shards finish an epoch, the driver atomically commits
-  ``manifest/epoch-{e}.json`` — {epoch, input file offsets, watermark,
-  per-partition output files, state snapshot paths, metrics}.  An epoch is
-  *visible* iff its manifest exists: readers that honor manifests get
-  exactly-once output even though shard writes are merely idempotent;
+  ``manifest/epoch-{e}.json`` — {epoch, consumed offset range, source
+  state, watermark, per-partition output files, state snapshot paths,
+  metrics}.  An epoch is *visible* iff its manifest exists: readers that
+  honor manifests get exactly-once output even though shard writes are
+  merely idempotent;
 - checkpoint = per-shard state snapshot referenced by the manifest; resume
   finds the last committed manifest, restores shard snapshots, and
-  continues from the next uncommitted epoch (replaying epochs since the
-  last snapshot in no-write recovery mode when snapshots are sparser than
-  manifests).
+  continues from the next uncommitted epoch (replaying the recorded offset
+  ranges of epochs since the last snapshot in no-write recovery mode when
+  snapshots are sparser than manifests).
 
-Determinism: outputs depend only on (input files, epoch boundaries,
+Determinism: outputs depend only on (input records, epoch boundaries,
 allowed_lateness) — never wall clock — so a killed+resumed run produces
 bit-identical verdict rows (tested in tests/test_streaming.py).
 """
@@ -43,6 +50,7 @@ import ray
 from osprey_ray.rules import RuleSpec
 from osprey_ray.stages.stateless import StatelessStage, compile_stateless
 from osprey_ray.streaming.shard import StateShard
+from osprey_ray.streaming.source import SegmentLogStream
 
 I64_MIN = np.iinfo(np.int64).min
 
@@ -235,16 +243,19 @@ class StreamingJob:
         state_ttl_s: float | None = None,
         source=None,
     ):
-        # pluggable input seam (VERDICT r4 item 3; reference poll/ack loop
+        # one input seam (VERDICT r4 item 3; reference poll/ack loop
         # input_stream.py:413-444): pass EITHER a pre-listed segment log
-        # (segment_files — planned by epochs(), the pipelined fast path)
-        # OR an osprey_ray.streaming.source.InputStream (poll-based;
-        # epochs come from poll_epoch(), consumer offsets commit only
-        # after each manifest is durable)
+        # (segment_files — planned by a SegmentLogStream into epochs of
+        # files_per_epoch files, or of ~rows_per_epoch rows cut at Parquet
+        # row-group boundaries so a crash mid-segment replays only the
+        # committed row groups) OR any poll-based
+        # osprey_ray.streaming.source.InputStream; run() drives both alike
         if (source is None) == (segment_files is None):
             raise ValueError(
                 "pass exactly one of segment_files or source"
             )
+        if source is None:
+            source = SegmentLogStream(segment_files, files_per_epoch, rows_per_epoch)
         self.source = source
         self.spec = spec
         self.late_output = late_output
@@ -253,7 +264,6 @@ class StreamingJob:
         )
         if self.state_ttl_us is not None:
             _validate_state_ttl(spec, self.state_ttl_us, int(allowed_lateness_s * 1e6))
-        self.segment_files = list(segment_files) if segment_files else []
         self.out_dir = out_dir
         self.manifest_dir = os.path.join(out_dir, "manifest")
         self.ckpt_dir = os.path.join(out_dir, "checkpoint")
@@ -262,14 +272,7 @@ class StreamingJob:
             os.makedirs(d, exist_ok=True)
         self.label_events = label_events or {}
         self.P = num_shards
-        self.files_per_epoch = files_per_epoch
         self.files_per_read_task = files_per_read_task
-        # sub-file epoch planning: when set, epoch boundaries fall at Parquet
-        # row-group boundaries (~rows_per_epoch rows each) instead of whole
-        # files, and manifests record (file, row-group range) lineage — a
-        # crash mid-way through a large segment replays only the committed
-        # row groups, not the whole file
-        self.rows_per_epoch = rows_per_epoch
         # streaming hot-conversation salting (label-free specs only): a
         # released slice holding > salt_block_rows rows of one conversation
         # evaluates block-parallel inside the owning shard
@@ -322,47 +325,35 @@ class StreamingJob:
         self._cur_hash = spec.content_hash()
         self.shards: list | None = None
         self.metrics: list[dict] = []
+        self._snap_epoch = -1  # last committed epoch that took a snapshot
         self._run_active = False  # guards gc_checkpoints (ADVICE r4)
 
     # -- epoch planning ----------------------------------------------------
 
     def epochs(self) -> list[list]:
-        """Epoch plan: a list of chunks per epoch, each chunk
-        ``(path, row_group_ids | None)``."""
-        fs = self.segment_files
-        if self.rows_per_epoch is None:
-            k = self.files_per_epoch
-            return [
-                [(f, None) for f in fs[i : i + k]] for i in range(0, len(fs), k)
-            ]
-        import pyarrow.parquet as pq
-
-        epochs: list[list] = []
-        cur: list = []
-        cur_rows = 0
-        for f in fs:
-            if f.endswith((".jsonl", ".json")):
-                raise ValueError(
-                    "rows_per_epoch needs Parquet row-group metadata for "
-                    "sub-file offsets; use files_per_epoch for JSONL segments"
-                )
-            md = pq.ParquetFile(f).metadata
-            groups: list[int] = []
-            for g in range(md.num_row_groups):
-                groups.append(g)
-                cur_rows += md.row_group(g).num_rows
-                if cur_rows >= self.rows_per_epoch:
-                    cur.append((f, groups))
-                    epochs.append(cur)
-                    cur, groups, cur_rows = [], [], 0
-            if groups:
-                cur.append((f, groups))
-        if cur:
-            epochs.append(cur)
-        return epochs
+        """Epoch plan of a segment-log job: a list of chunks per epoch,
+        each chunk ``(path, row_group_ids | None)``."""
+        return [chunks for chunks, _start, _end in self.source.plan]
 
     def _manifest_path(self, epoch: int) -> str:
         return os.path.join(self.manifest_dir, f"epoch-{epoch:05d}.json")
+
+    def _manifest(self, epoch: int) -> dict:
+        with open(self._manifest_path(epoch)) as f:
+            return json.load(f)
+
+    @staticmethod
+    def _offsets(manifest: dict) -> dict:
+        """The consumed ``{start, end}`` range a committed manifest records
+        — what resume replays and seeks by; never re-planned."""
+        offs = manifest.get("offsets")
+        if offs is None:
+            raise ValueError(
+                f"manifest epoch {manifest['epoch']} has no offsets — was "
+                "this run committed by an older segment-log job? resume "
+                "with the same version it was written with"
+            )
+        return offs
 
     def last_committed_epoch(self) -> int:
         last = -1
@@ -409,69 +400,107 @@ class StreamingJob:
     # -- main loop ---------------------------------------------------------
 
     def run(self, stop_after_epoch: int | None = None, resume: bool = False) -> list[dict]:
-        """Process epochs (optionally stopping early to simulate a crash);
-        with ``resume=True`` continue a previous run from its checkpoint.
-        Returns per-epoch metrics."""
-        if self.source is not None:
-            return self._run_source(stop_after_epoch, resume)
+        """Process epochs until the source runs dry (optionally stopping
+        after ``stop_after_epoch`` to simulate a crash); with
+        ``resume=True`` continue a previous run from its checkpoint.
+        Returns per-epoch metrics.
+
+        Per epoch: poll → read/route tasks → shard process → commit the
+        manifest → ``source.commit(end)``.  The ack strictly follows the
+        durable manifest, so the upstream committed position never runs
+        ahead of the exactly-once sink (kafka.rs:112-116).
+
+        Resume replays the committed-but-post-snapshot epochs by re-reading
+        the offset ranges their manifests recorded, with each manifest's
+        watermark verbatim, so replay is bit-identical regardless of how
+        the source batches its polls; live polling resumes at the last
+        committed end offsets."""
         if self.shards is None:
             self._start_shards()
-        epochs = self.epochs()
-        start_epoch, watermark, recover_until = self._resume_point(resume)
+        e, watermark, recover_until = self._resume_point(resume)
         self._run_active = True
-
         hot_ref = ray.put(self.hot_convs) if self.hot_convs else None
 
-        def _launch_reads(files: list[str]) -> list:
-            chunks = [
-                files[i : i + self.files_per_read_task]
-                for i in range(0, len(files), self.files_per_read_task)
-            ]
-            return [
+        def _poll(e: int):
+            """-> (batch, read refs, source state, committed watermark), or
+            None when the source is dry.  The state is taken right after
+            this epoch's own poll, before any lookahead poll."""
+            wm = None
+            if e <= recover_until:
+                m = self._manifest(e)
+                offs = self._offsets(m)
+                eb = self.source.replay(offs["start"], offs["end"])
+                wm = int(m["watermark"])
+            else:
+                eb = self.source.poll_epoch()
+                if eb is None:
+                    return None
+            k = self.files_per_read_task
+            read_refs = [
                 _read_route.options(num_returns=self.P + 1).remote(
-                    c, self.stage1, self.P, hot_ref, self.hot_block_turns
+                    eb.chunks[i : i + k], self.stage1, self.P, hot_ref,
+                    self.hot_block_turns,
                 )
-                for c in chunks
+                for i in range(0, len(eb.chunks), k)
             ]
+            return eb, read_refs, self.source.state(), wm
 
-        # Pipelined epoch loop: epoch e+1's reads launch while e processes,
-        # and e+1's shard calls are SUBMITTED before e's results are
-        # gathered — Ray actors execute queued calls FIFO, so per-shard
-        # ordering (process e → snapshot e → process e+1) is preserved while
-        # fast shards run ahead of slow ones.  Manifests still commit
-        # strictly in epoch order (the exactly-once gate is unchanged).
-        prefetched: dict[int, list] = {}
-        in_flight: list[tuple] = []  # (e, files, watermark, stats_refs, snap_refs, recovery, hash, spec, t0)
+        # Pipelined epoch loop: epoch e+1 is polled and its reads launch
+        # before e's watermark is known, and e's shard calls are SUBMITTED
+        # before e-1's results are gathered — Ray actors execute queued
+        # calls FIFO, so per-shard ordering (process e → snapshot e →
+        # process e+1) is preserved while fast shards run ahead of slow
+        # ones.  Manifests still commit, and acks follow, strictly in epoch
+        # order (the exactly-once gate is unchanged).
+        in_flight: list[tuple] = []  # (e, batch, state, watermark, stats_refs, snap_refs, recovery, hash, spec, t0)
 
         def _drain_one() -> None:
-            e_, files_, wm_, stats_refs, snap_refs, recovery_, rhash_, spec_, t0_ = in_flight.pop(0)
+            e_, eb_, state_, wm_, stats_refs, snap_refs, recovery_, rhash_, spec_, t0_ = in_flight.pop(0)
             stats = ray.get(stats_refs)
             hot = self._hot_phase(e_, stats, wm_, spec_, write=not recovery_)
             snapshots = ray.get(snap_refs) if snap_refs is not None else None
             self.metrics.append(
-                self._commit(e_, files_, wm_, stats, snapshots, recovery_, t0_, rhash_, hot)
+                self._commit(
+                    e_, eb_.lineage, wm_, stats, snapshots, recovery_, t0_, rhash_, hot,
+                    {"start": eb_.start, "end": eb_.end}, state_,
+                )
             )
+            if not recovery_:
+                self.source.commit(eb_.end)
 
-        for e in range(start_epoch, len(epochs)):
-            if stop_after_epoch is not None and e > stop_after_epoch:
-                break
-            if e in self.spec_updates:
-                self._apply_spec(self.spec_updates[e])
+        ahead = None
+        while stop_after_epoch is None or e <= stop_after_epoch:
             t0 = time.perf_counter()
-            files = epochs[e]
-            recovery = e <= recover_until
-            read_refs = prefetched.pop(e, None) or _launch_reads(files)
+            cur, ahead = ahead, None
+            if cur is None:
+                # nothing looked ahead (first epoch, a swap epoch, or a dry
+                # lookahead poll): commit and ack what is in flight first —
+                # a source may hold records back until earlier ones are acked
+                while in_flight:
+                    _drain_one()
+                if e in self.spec_updates:
+                    self._apply_spec(self.spec_updates[e])
+                cur = _poll(e)
+                if cur is None:
+                    break
+            eb, read_refs, state, wm = cur
             if (
-                e + 1 < len(epochs)
-                and (stop_after_epoch is None or e + 1 <= stop_after_epoch)
+                (stop_after_epoch is None or e < stop_after_epoch)
                 # a scheduled swap at e+1 must recompile stage1 before that
-                # epoch's reads launch — skip the prefetch, launch in-loop
+                # epoch's reads launch — no lookahead into it
                 and e + 1 not in self.spec_updates
             ):
-                prefetched[e + 1] = _launch_reads(epochs[e + 1])
-            # the watermark needs this epoch's max event ts before dispatch
-            max_ts = max(ray.get([r[self.P] for r in read_refs]), default=I64_MIN)
-            watermark = max(watermark, max_ts - self.lateness_us)
+                ahead = _poll(e + 1)
+            recovery = e <= recover_until
+            if wm is not None:
+                watermark = wm
+            else:
+                # the source's own basis (per-partition minima) when it has
+                # one; otherwise the epoch's max event ts
+                basis = eb.wm_ts
+                if basis is None:
+                    basis = max(ray.get([r[self.P] for r in read_refs]), default=I64_MIN)
+                watermark = max(watermark, basis - self.lateness_us)
             stats_refs = [
                 self.shards[p].process.remote(
                     e, [r[p] for r in read_refs], watermark, not recovery
@@ -484,180 +513,38 @@ class StreamingJob:
                 if do_snap and not recovery
                 else None
             )
-            in_flight.append((e, files, watermark, stats_refs, snap_refs, recovery, self._cur_hash, self.spec, t0))
+            in_flight.append((e, eb, state, watermark, stats_refs, snap_refs, recovery, self._cur_hash, self.spec, t0))
             while len(in_flight) > 1:  # one epoch of lookahead
                 _drain_one()
+            e += 1
         while in_flight:
             _drain_one()
         self._run_active = False
         return self.metrics
 
-    def _run_source(self, stop_after_epoch: int | None, resume: bool) -> list[dict]:
-        """Poll-based epoch loop over ``self.source`` (an
-        :class:`osprey_ray.streaming.source.InputStream`): poll → process →
-        commit manifest → ack consumer offsets, in that order, so the
-        upstream committed position never runs ahead of the exactly-once
-        sink (the reference's manual-commit protocol, kafka.rs:112-116).
-
-        Resume replays committed-but-post-snapshot epochs by re-polling
-        the exact offset ranges their manifests recorded (the replayable-
-        log property every Kafka-like source provides), then seeks the
-        live stream to the last committed end offsets.  Epoch boundaries
-        come from the manifests during replay — not re-planned — so
-        replay is bit-identical regardless of poll batching.
-
-        This path polls on the driver (one connector per consumer group);
-        the pre-listed segment-log path in :meth:`run` keeps the pipelined
-        prefetch and is the throughput surface for file-backed logs."""
-        if self.shards is None:
-            self._start_shards()
-        start_epoch, watermark, recover_until = self._resume_point(resume)
-        self._run_active = True
-        hot_ref = ray.put(self.hot_convs) if self.hot_convs else None
-
-        def _process(e: int, eb, recovery: bool, t0: float, wm_override=None):
-            nonlocal watermark
-            chunks = [
-                eb.chunks[i : i + self.files_per_read_task]
-                for i in range(0, len(eb.chunks), self.files_per_read_task)
-            ]
-            read_refs = [
-                _read_route.options(num_returns=self.P + 1).remote(
-                    c, self.stage1, self.P, hot_ref, self.hot_block_turns
-                )
-                for c in chunks
-            ]
-            if wm_override is not None:
-                # replayed epoch: take the committed manifest's watermark
-                # verbatim — bit-identical regardless of source internals
-                watermark = wm_override
-            elif eb.wm_ts is not None:
-                # the source watermarks itself (per-partition minima)
-                watermark = max(watermark, eb.wm_ts - self.lateness_us)
-            else:
-                max_ts = max(
-                    ray.get([r[self.P] for r in read_refs]), default=I64_MIN
-                )
-                watermark = max(watermark, max_ts - self.lateness_us)
-            stats = ray.get(
-                [
-                    self.shards[p].process.remote(
-                        e, [r[p] for r in read_refs], watermark, not recovery
-                    )
-                    for p in range(self.P)
-                ]
-            )
-            hot = self._hot_phase(e, stats, watermark, self.spec, write=not recovery)
-            do_snap = (e % self.checkpoint_interval) == (self.checkpoint_interval - 1)
-            snapshots = (
-                ray.get([s.snapshot.remote(self.ckpt_dir, e) for s in self.shards])
-                if do_snap and not recovery
-                else None
-            )
-            self.metrics.append(
-                self._commit(
-                    e, eb.lineage, watermark, stats, snapshots, recovery, t0,
-                    self._cur_hash, hot,
-                    offsets={"start": eb.start, "end": eb.end},
-                    source_state=self.source.state(),
-                )
-            )
-
-        # recovery replay: re-poll exactly the committed ranges, watermark
-        # verbatim from each manifest
-        last_end = None
-        for e in range(start_epoch, recover_until + 1):
-            if e in self.spec_updates:
-                self._apply_spec(self.spec_updates[e])
-            m = json.load(open(self._manifest_path(e)))
-            offs = m.get("offsets")
-            if offs is None:
-                raise ValueError(
-                    f"manifest epoch {e} has no offsets — was this run "
-                    "committed by a segment-log job? resume with the same "
-                    "input mode it was written with"
-                )
-            t0 = time.perf_counter()
-            _process(
-                e, self.source.replay(offs["start"], offs["end"]), True, t0,
-                wm_override=int(m["watermark"]),
-            )
-            last_end = offs["end"]
-        if resume and recover_until >= 0:
-            m = json.load(open(self._manifest_path(recover_until)))
-            if last_end is None:
-                # snapshots were as fresh as the manifests: position the
-                # live stream just past the last committed epoch
-                last_end = (m.get("offsets") or {}).get("end")
-            # connector state (e.g. per-partition watermark maxima) resumes
-            # from the committed value, not from what replay happened to see
-            self.source.restore_state(m.get("source_state"))
-        if last_end is not None:
-            self.source.seek(last_end)
-
-        e = recover_until + 1
-        while stop_after_epoch is None or e <= stop_after_epoch:
-            if e in self.spec_updates:
-                self._apply_spec(self.spec_updates[e])
-            t0 = time.perf_counter()
-            eb = self.source.poll_epoch()
-            if eb is None:
-                break
-            _process(e, eb, False, t0)
-            # ack strictly AFTER the manifest is durable — the consumer's
-            # committed offsets therefore always equal some manifest's end
-            self.source.commit(eb.end)
-            e += 1
-        self._run_active = False
-        return self.metrics
-
     def _resume_point(self, resume: bool):
-        """Locate the committed recovery point and restore to it: validate
-        the ruleset hash of the last committed manifest, restore shard
-        snapshots (re-dealing the crc32 ring on rescale) and driver-held
-        hot state, re-apply any pre-snapshot spec swap.  Returns
-        ``(start_epoch, watermark, recover_until)`` — epochs in
+        """Locate the committed recovery point and restore to it: hand the
+        source its committed state (a segment log rejects a changed plan
+        here, before anything replays) and seek it past the last committed
+        epoch, validate the ruleset hash of the last committed manifest,
+        restore shard snapshots (re-dealing the crc32 ring on rescale) and
+        driver-held hot state, re-apply any pre-snapshot spec swap.
+        Returns ``(start_epoch, watermark, recover_until)`` — epochs in
         ``[start_epoch, recover_until]`` replay in no-write recovery
         mode."""
         start_epoch = 0
         watermark = I64_MIN
         recover_until = -1
+        self._snap_epoch = -1
         if resume:
             last = self.last_committed_epoch()
-            if last >= 0 and self.source is None:
-                # the committed manifests pin the epoch boundaries; resuming
-                # under DIFFERENT planning params (files_per_epoch /
-                # rows_per_epoch / a changed segment list) would replay
-                # mis-aligned slices and then re-read or skip committed rows
-                # — reject loudly instead of silently corrupting
-                plan = self.epochs()
-
-                def _canon(chunks):
-                    out = []
-                    for c in chunks:
-                        if isinstance(c, (tuple, list)):
-                            p, rgs = c
-                            out.append([p, list(rgs) if rgs is not None else None])
-                        else:
-                            out.append([c, None])
-                    return out
-
-                for e in range(last + 1):
-                    m = json.load(open(self._manifest_path(e)))
-                    want = m.get("input_files")
-                    have = _canon(plan[e]) if e < len(plan) else None
-                    # an empty file list = a finalize() flush epoch — no
-                    # input consumed, nothing to validate
-                    if want and _canon(want) != have:
-                        raise ValueError(
-                            f"resume epoch-plan mismatch at epoch {e}: the "
-                            f"committed manifest consumed {want} but the "
-                            f"current planning yields {have} — resume with "
-                            "the same segment list and files_per_epoch/"
-                            "rows_per_epoch the run was started with"
-                        )
             if last >= 0:
-                manifest = json.load(open(self._manifest_path(last)))
+                manifest = self._manifest(last)
+                self.source.restore_state(manifest.get("source_state"))
+                # a lone finalize() flush at epoch 0 consumed nothing: the
+                # source starts from its beginning
+                if last or manifest["input_files"]:
+                    self.source.seek(self._offsets(manifest)["end"])
                 # the committed lineage names the ruleset that produced it;
                 # continuing under a different one would silently mix outputs
                 want_hash = manifest.get("ruleset_hash")
@@ -673,8 +560,9 @@ class StreamingJob:
                     )
                 watermark = int(manifest["watermark"])
                 snap_epoch = manifest.get("last_snapshot_epoch", -1)
+                self._snap_epoch = snap_epoch
                 if snap_epoch >= 0:
-                    snap_manifest = json.load(open(self._manifest_path(snap_epoch)))
+                    snap_manifest = self._manifest(snap_epoch)
                     snap_paths = snap_manifest["snapshots"]
                     old_P = snap_manifest.get("num_shards", len(snap_paths))
                     if old_P == self.P:
@@ -711,8 +599,6 @@ class StreamingJob:
                     self._apply_spec(self.spec_updates[pre[-1]])
         return start_epoch, watermark, recover_until
 
-
-
     def _apply_spec(self, spec: RuleSpec) -> None:
         """Swap the compiled ruleset at an epoch boundary: recompile the
         stateless stage for subsequent read tasks and push the new spec to
@@ -747,13 +633,12 @@ class StreamingJob:
     def finalize(self) -> dict:
         """Flush all pending rows (watermark → +inf) as a final epoch —
         the bounded-stream end-of-input barrier."""
-        # poll-based sources have no static plan: the flush epoch follows
-        # the last committed one
-        e = (
-            self.last_committed_epoch() + 1
-            if self.source is not None
-            else len(self.epochs())
-        )
+        # the flush epoch follows the last committed one, consumes the empty
+        # range at its end offsets and carries its source state forward
+        e = self.last_committed_epoch() + 1
+        prev = self._manifest(e - 1) if e else {}
+        end = (prev.get("offsets") or {}).get("end")
+        offsets = None if end is None else {"start": end, "end": end}
         t0 = time.perf_counter()
         wm = int(np.iinfo(np.int64).max)
         stats = ray.get(
@@ -761,7 +646,10 @@ class StreamingJob:
         )
         hot = self._hot_phase(e, stats, wm, self.spec, write=True)
         snapshots = ray.get([s.snapshot.remote(self.ckpt_dir, e) for s in self.shards])
-        m = self._commit(e, [], wm, stats, snapshots, False, t0, self._cur_hash, hot)
+        m = self._commit(
+            e, [], wm, stats, snapshots, False, t0, self._cur_hash, hot,
+            offsets, prev.get("source_state"),
+        )
         self.metrics.append(m)
         return m
 
@@ -826,7 +714,7 @@ class StreamingJob:
             out["windows_file"] = name
         return out
 
-    def _commit(self, e, files, watermark, stats, snapshots, recovery, t0, ruleset_hash=None, hot=None, offsets=None, source_state=None) -> dict:
+    def _commit(self, e, files, watermark, stats, snapshots, recovery, t0, ruleset_hash, hot, offsets, source_state) -> dict:
         released = sum(s["released"] for s in stats) + (hot["released"] if hot else 0)
         # end-to-end watermark lag: newest event seen vs the frontier up to
         # which results are final — bounded by allowed_lateness by
@@ -850,7 +738,8 @@ class StreamingJob:
             "recovery": recovery,
         }
         if not recovery:
-            last_snap = e if snapshots else self._last_snapshot_epoch(e)
+            if snapshots:
+                self._snap_epoch = e
             snap_paths = [s["path"] for s in snapshots] if snapshots else None
             consumed = [
                 p for s in (snapshots or []) for p in s.get("consumed_spills", [])
@@ -893,11 +782,12 @@ class StreamingJob:
                     else None
                 ),
                 gc_spills=consumed,
-                last_snapshot_epoch=last_snap,
-                ruleset_hash=ruleset_hash or self._cur_hash,
+                last_snapshot_epoch=self._snap_epoch,
+                ruleset_hash=ruleset_hash,
                 num_shards=self.P,
-                # poll-based sources: the consumed offset range — resume
-                # replays exactly this range; the consumer ack mirrors "end"
+                # the consumed offset range — resume replays exactly this
+                # range and seeks past "end"; the source ack mirrors "end".
+                # The source state was taken right after this epoch's poll
                 offsets=offsets,
                 source_state=source_state,
             )
@@ -912,15 +802,6 @@ class StreamingJob:
                 except OSError:
                     pass
         return metrics
-
-    def _last_snapshot_epoch(self, before: int) -> int:
-        for e in range(before - 1, -1, -1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                m = json.load(open(p))
-                if m.get("snapshots"):
-                    return e
-        return -1
 
     # -- ops utilities ------------------------------------------------------
 
@@ -943,8 +824,7 @@ class StreamingJob:
         last = self.last_committed_epoch()
         if last < 0:
             return 0
-        m = json.load(open(self._manifest_path(last)))
-        live = m.get("last_snapshot_epoch", -1)
+        live = self._manifest(last).get("last_snapshot_epoch", -1)
         removed = 0
         import re
 
@@ -976,7 +856,7 @@ class StreamingJob:
             if not os.path.exists(p):
                 problems.append(f"manifest gap at epoch {e}")
                 continue
-            m = json.load(open(p))
+            m = self._manifest(e)
             if not m.get("ruleset_hash"):
                 problems.append(f"epoch {e}: missing ruleset_hash")
             for key in ("outputs", "label_outputs", "window_outputs",
@@ -989,10 +869,9 @@ class StreamingJob:
             # below) must be restorable
         # the last manifest's recovery point must be fully restorable
         if last >= 0:
-            m = json.load(open(self._manifest_path(last)))
-            snap_e = m.get("last_snapshot_epoch", -1)
+            snap_e = self._manifest(last).get("last_snapshot_epoch", -1)
             if snap_e >= 0 and os.path.exists(self._manifest_path(snap_e)):
-                sm = json.load(open(self._manifest_path(snap_e)))
+                sm = self._manifest(snap_e)
                 for s in sm.get("snapshots") or []:
                     if not os.path.exists(s):
                         problems.append(
@@ -1023,9 +902,8 @@ class StreamingJob:
         key = self._STREAM_KEYS[kind]
         out = []
         for e in range(self.last_committed_epoch() + 1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                for f in json.load(open(p)).get(key) or []:
+            if os.path.exists(self._manifest_path(e)):
+                for f in self._manifest(e).get(key) or []:
                     if f:
                         out.append(os.path.join(self.data_dir, f))
         return out
@@ -1111,116 +989,51 @@ class StreamingJob:
         )
         return out.schema
 
+    # kind → sort keys of the driver-side ``*_table()`` accessors
+    _SORT_KEYS = {
+        "results": ["conv_id", "turn_idx"],
+        "windows": ["window", "conv_id", "start"],
+        "absence": ["pattern", "conv_id", "first_ts"],
+        "pairs": ["pattern", "conv_id", "first_ts", "second_ts"],
+        "late": ["conv_id", "turn_idx", "ts"],
+    }
+
+    def _stream_table(self, kind: str, empty: pa.Table) -> pa.Table:
+        """One output stream's committed files concatenated on the driver,
+        sorted by the kind's keys; ``empty`` when nothing is committed."""
+        import pyarrow.parquet as pq
+
+        files = self.committed_files(kind)
+        if not files:
+            return empty
+        tbl = pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
+        return tbl.sort_by([(k, "ascending") for k in self._SORT_KEYS[kind]])
+
     def output_files(self) -> list[str]:
         """Committed output files, manifest order (exactly-once read path)."""
-        out = []
-        for e in range(self.last_committed_epoch() + 1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                for f in json.load(open(p))["outputs"]:
-                    if f:
-                        out.append(os.path.join(self.data_dir, f))
-        return out
+        return self.committed_files("results")
 
     def window_stream_table(self) -> pa.Table:
         """Committed window-aggregate emissions (one row per closed
         tumbling bucket / session), manifest order."""
-        import pyarrow.parquet as pq
-
-        files = []
-        for e in range(self.last_committed_epoch() + 1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                for f in json.load(open(p)).get("window_outputs", []):
-                    if f:
-                        files.append(os.path.join(self.data_dir, f))
-        if not files:
-            return pa.table({})
-        tbl = pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
-        return tbl.sort_by(
-            [("window", "ascending"), ("conv_id", "ascending"), ("start", "ascending")]
-        )
+        return self._stream_table("windows", pa.table({}))
 
     def absence_stream_table(self) -> pa.Table:
         """Committed absence-alert emissions (one row per fired timer —
         rules.AbsenceAlert), manifest order."""
-        import pyarrow.parquet as pq
-
-        files = []
-        for e in range(self.last_committed_epoch() + 1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                for f in json.load(open(p)).get("absence_outputs", []):
-                    if f:
-                        files.append(os.path.join(self.data_dir, f))
-        if not files:
-            from osprey_ray.streaming.absence import ALERT_SCHEMA
-
-            return ALERT_SCHEMA.empty_table()
-        tbl = pa.concat_tables(
-            [pq.read_table(f) for f in files], promote_options="default"
-        )
-        return tbl.sort_by(
-            [("pattern", "ascending"), ("conv_id", "ascending"),
-             ("first_ts", "ascending")]
-        )
+        return self._stream_table("absence", self._stream_schema("absence").empty_table())
 
     def pairs_stream_table(self) -> pa.Table:
         """Committed pair emissions (one row per (A, B) interval-join
         match — rules.FollowedBy), manifest order."""
-        import pyarrow.parquet as pq
-
-        files = []
-        for e in range(self.last_committed_epoch() + 1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                for f in json.load(open(p)).get("pairs_outputs", []):
-                    if f:
-                        files.append(os.path.join(self.data_dir, f))
-        if not files:
-            from osprey_ray.streaming.follow import PAIR_SCHEMA
-
-            return PAIR_SCHEMA.empty_table()
-        tbl = pa.concat_tables(
-            [pq.read_table(f) for f in files], promote_options="default"
-        )
-        return tbl.sort_by(
-            [("pattern", "ascending"), ("conv_id", "ascending"),
-             ("first_ts", "ascending"), ("second_ts", "ascending")]
-        )
+        return self._stream_table("pairs", self._stream_schema("pairs").empty_table())
 
     def late_stream_table(self) -> pa.Table:
         """Committed late-data side output (rows dropped at arrival because
         the watermark had passed them — the Beam late-side-output pattern),
         manifest order.  Empty unless the job was built with
         ``late_output=True``."""
-        import pyarrow.parquet as pq
-
-        files = []
-        for e in range(self.last_committed_epoch() + 1):
-            p = self._manifest_path(e)
-            if os.path.exists(p):
-                for f in json.load(open(p)).get("late_outputs", []):
-                    if f:
-                        files.append(os.path.join(self.data_dir, f))
-        if not files:
-            return pa.schema(
-                [("conv_id", pa.string()), ("turn_idx", pa.int32()),
-                 ("ts", pa.timestamp("us"))]
-            ).empty_table()
-        tbl = pa.concat_tables(
-            [pq.read_table(f) for f in files], promote_options="default"
-        )
-        return tbl.sort_by(
-            [("conv_id", "ascending"), ("turn_idx", "ascending"),
-             ("ts", "ascending")]
-        )
+        return self._stream_table("late", self._stream_schema("late").empty_table())
 
     def results_table(self) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        files = self.output_files()
-        if not files:
-            return pa.table({})
-        tbl = pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
-        return tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+        return self._stream_table("results", pa.table({}))

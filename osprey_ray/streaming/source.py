@@ -13,8 +13,8 @@ processing).  This module is that seam re-expressed for the epoch model:
   commits never run ahead of the exactly-once sink), ``seek``/``replay``
   give resume the replayable-log property exactly-once depends on.
 - :class:`SegmentLogStream` — the built-in implementation over an ordered
-  Parquet/JSONL segment log (what ``StreamingJob(segment_files=...)``
-  wraps today); offsets are ``[file_idx, row_group_idx]`` positions.
+  Parquet/JSONL segment log (``StreamingJob(segment_files=...)`` builds
+  one); offsets are ``[file_idx, row_group_idx]`` positions.
 - :class:`KafkaStream` — a Kafka-shaped connector: drives any consumer
   object speaking the tiny :class:`KafkaLikeConsumer` protocol
   (poll/seek/commit — the subset every real Kafka client exposes),
@@ -35,6 +35,7 @@ both documented in the class docstrings.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -98,7 +99,8 @@ class InputStream:
 
     def restore_state(self, state) -> None:
         """Restore :meth:`state` on resume (called with the last committed
-        manifest's value, after replay, before live polling resumes)."""
+        manifest's value, before any replay or live poll).  A source that
+        can tell the committed run was planned differently raises here."""
 
     def close(self) -> None:
         pass
@@ -107,24 +109,43 @@ class InputStream:
 class SegmentLogStream(InputStream):
     """The built-in replayable log: an ordered list of Parquet/JSONL
     segment files, planned into epochs of ``files_per_epoch`` files or
-    (Parquet only) ``rows_per_epoch`` rows at row-group granularity —
-    byte-identical planning to ``StreamingJob.epochs()``.  An offset is a
-    ``[file_idx, row_group_idx]`` position (row_group_idx 0 = start of
-    file), mirroring Kafka's (partition, offset) but over one ordered
-    log."""
+    (Parquet only) ``rows_per_epoch`` rows at row-group granularity.  An
+    offset is a ``[file_idx, row_group_idx]`` position (row_group_idx 0 =
+    start of file), mirroring Kafka's (partition, offset) but over one
+    ordered log.
+
+    The plan is built on first use, so a bad planning request (JSONL with
+    ``rows_per_epoch``) fails at planning time, not at construction.  Its
+    state is a digest chained over the epochs polled so far: resuming
+    under a different segment list or planning parameters is rejected
+    before any replay, instead of replaying mis-aligned slices."""
 
     def __init__(self, segment_files, files_per_epoch: int = 2,
                  rows_per_epoch: int | None = None):
         self.files = list(segment_files)
-        self._plan = self._build_plan(files_per_epoch, rows_per_epoch)
+        self.files_per_epoch = files_per_epoch
+        self.rows_per_epoch = rows_per_epoch
+        self._plan = None
+        self._digests: list[str] = []
         self._next = 0
 
-    def _build_plan(self, files_per_epoch, rows_per_epoch):
+    @property
+    def plan(self) -> list:
         """[(chunks, start_pos, end_pos)] with pos = [file_idx, rg_idx]."""
-        fs = self.files
+        if self._plan is None:
+            self._plan = self._build_plan()
+            d = ""
+            for chunks, start, end in self._plan:
+                rec = json.dumps([d, self._lineage(chunks), start, end])
+                d = hashlib.sha256(rec.encode()).hexdigest()[:16]
+                self._digests.append(d)
+        return self._plan
+
+    def _build_plan(self):
+        fs, rows_per_epoch = self.files, self.rows_per_epoch
         plan = []
         if rows_per_epoch is None:
-            k = files_per_epoch
+            k = self.files_per_epoch
             for i in range(0, len(fs), k):
                 chunk_files = fs[i : i + k]
                 plan.append((
@@ -163,9 +184,9 @@ class SegmentLogStream(InputStream):
         return plan
 
     def poll_epoch(self) -> EpochBatch | None:
-        if self._next >= len(self._plan):
+        if self._next >= len(self.plan):
             return None
-        chunks, start, end = self._plan[self._next]
+        chunks, start, end = self.plan[self._next]
         self._next += 1
         return EpochBatch(chunks, start, end, self._lineage(chunks))
 
@@ -176,20 +197,38 @@ class SegmentLogStream(InputStream):
         ]
 
     def replay(self, start, end) -> EpochBatch:
-        for chunks, s, e in self._plan:
+        for chunks, s, e in self.plan:
             if list(s) == list(start) and list(e) == list(end):
                 return EpochBatch(chunks, s, e, self._lineage(chunks))
         raise ValueError(f"no planned epoch covers [{start}, {end})")
 
     def seek(self, offsets) -> None:
         if list(offsets) == [len(self.files), 0]:
-            self._next = len(self._plan)
+            self._next = len(self.plan)
             return
-        for i, (_, s, _e) in enumerate(self._plan):
+        for i, (_, s, _e) in enumerate(self.plan):
             if list(s) == list(offsets):
                 self._next = i
                 return
         raise ValueError(f"offset {offsets} is not an epoch boundary")
+
+    def state(self):
+        n = self._next
+        return {"epochs": n, "plan": self._digests[n - 1] if n else ""}
+
+    def restore_state(self, state) -> None:
+        if not state:
+            return
+        n = state["epochs"]
+        have = self._digests[n - 1] if 0 < n <= len(self.plan) else ""
+        if have != state["plan"]:
+            raise ValueError(
+                f"resume epoch-plan mismatch through epoch {n - 1}: the committed "
+                f"manifests were planned as {state['plan']}, the current "
+                f"planning yields {have or 'no such epoch'} — resume with the "
+                "same segment list and files_per_epoch/rows_per_epoch the run "
+                "was started with"
+            )
 
 
 class KafkaLikeConsumer:
@@ -336,13 +375,14 @@ class KafkaStream(InputStream):
                 got_n = 0
                 while got_n < want:
                     got = self.consumer.poll(want - got_n)
-                    recs = got.get(p, [])
-                    if not recs:
+                    # a poll may be filled from other partitions first
+                    # (fair-share round robin); only a dry poll is an underrun
+                    if not any(got.values()):
                         raise ValueError(
                             f"replay underrun: partition {p} has "
                             f"{got_n}/{want} records in [{start.get(p, 0)}, {end[p]})"
                         )
-                    for off, val in recs:
+                    for off, val in got.get(p, []):
                         if off >= end[p]:
                             break
                         msgs.append(val)

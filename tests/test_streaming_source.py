@@ -171,6 +171,9 @@ def test_kafka_commits_track_manifests(stream_data, tmp_path):
     assert committed == {int(p): o for p, o in m["offsets"]["end"].items()}
     # total consumed so far is a strict prefix of the log
     assert sum(committed.values()) < sum(len(p) for p in broker.partitions)
+    # and nothing was polled past the stop: no lookahead beyond epoch 1
+    positions = {p: consumer.position(p) for p in consumer.partitions()}
+    assert positions == committed
 
 
 def test_kafka_kill_resume_bit_identical(stream_data, tmp_path):
@@ -338,6 +341,10 @@ def test_pubsub_acks_track_manifests(stream_data, tmp_path):
         committed_rows += sum(
             int(lin.split("#rows=")[1]) for lin in m["input_files"]
         )
+        # the dedupe state was taken at this epoch's own poll, not at the
+        # lookahead poll of the next one
+        end = m["offsets"]["end"][0]
+        assert all(seq < end for seq in m["source_state"]["seen"].values())
     assert len(broker.acked) == committed_rows
     assert broker.unacked_count() > 0  # backlog remains
 
@@ -526,3 +533,76 @@ def test_pubsub_crash_during_journal_write(stream_data, tmp_path):
     resumed.finalize()
     _assert_same(_df(ref.results_table()), _df(resumed.results_table()))
     assert broker.unacked_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# recovery replay (checkpoint_interval > 1) across every source
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["files", "rows", "kafka", "pubsub"])
+def test_sparse_checkpoint_kill_resume(stream_data, tmp_path, kind):
+    """Snapshots every 3rd epoch and a stop BETWEEN snapshots: resume
+    restores epoch 2's snapshot and replays epochs 3-4 from the offset
+    ranges their manifests recorded (no writes), then continues live.
+    Output is bit-identical to an uninterrupted run, every manifest's
+    last_snapshot_epoch names the latest snapshot at or before it, and a
+    broker's acks equal exactly the committed messages."""
+    segs, lmap, _ = stream_data
+    spec = flagship_spec()
+
+    def job(out, broker=None):
+        kw = dict(num_shards=4, allowed_lateness_s=4000.0, checkpoint_interval=3)
+        if kind == "files":
+            return StreamingJob(spec, segs, out, lmap, files_per_epoch=2, **kw)
+        if kind == "rows":
+            return StreamingJob(spec, segs, out, lmap, rows_per_epoch=700, **kw)
+        if kind == "kafka":
+            src = KafkaStream(broker.consumer(), rows_per_epoch=800)
+        else:
+            src = PubSubStream(broker, out + "-journal", rows_per_epoch=800)
+        return StreamingJob(spec, None, out, lmap, source=src, **kw)
+
+    def new_broker():
+        return {"kafka": _broker, "pubsub": _pubsub}.get(kind, lambda s: None)(segs)
+
+    def acks_match_commits(j, broker):
+        manifests = [j._manifest(e) for e in range(j.last_committed_epoch() + 1)]
+        fed = [m for m in manifests if m["input_files"]]
+        if kind == "kafka":
+            committed = {int(p): o for p, o in broker.committed["osprey"].items()}
+            assert committed == {int(p): o for p, o in fed[-1]["offsets"]["end"].items()}
+        elif kind == "pubsub":
+            rows = sum(int(lin.split("#rows=")[1]) for m in fed for lin in m["input_files"])
+            assert len(broker.acked) == rows
+
+    ref = job(str(tmp_path / "ref"), new_broker())
+    ref.run()
+    ref.finalize()
+    assert ref.last_committed_epoch() >= 6
+
+    out = str(tmp_path / "out")
+    broker = new_broker()
+    crash = job(out, broker)
+    crash.run(stop_after_epoch=4)
+    assert crash.last_committed_epoch() == 4
+    acks_match_commits(crash, broker)
+    del crash
+
+    resumed = job(out, broker)
+    resumed.run(resume=True)
+    resumed.finalize()
+    assert [m["epoch"] for m in resumed.metrics if m["recovery"]] == [3, 4]
+    _assert_same(_df(ref.results_table()), _df(resumed.results_table()))
+    acks_match_commits(resumed, broker)
+    if kind == "pubsub":
+        assert broker.unacked_count() == 0
+
+    want = -1
+    last = resumed.last_committed_epoch()
+    for e in range(last + 1):
+        m = resumed._manifest(e)
+        assert bool(m["snapshots"]) == (e % 3 == 2 or e == last), e
+        if m["snapshots"]:
+            want = e
+        assert m["last_snapshot_epoch"] == want, e
