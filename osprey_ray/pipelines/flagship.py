@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 
+import ray
 import ray.data
 
 from osprey_ray.expr import col, lit, or_
@@ -49,6 +50,7 @@ from osprey_ray.rules import (
     WhenRules,
     WindowCount,
 )
+from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks, scan_seeds
 from osprey_ray.stages.stateless import compile_stateless
 from osprey_ray.stages.stateful import StatefulPartitionEval
 from osprey_ray.expr import fn
@@ -269,8 +271,9 @@ def run_batch_exchange(
     ``groupby('__part').map_groups`` — Ray Data's sort-based groupby carries
     a fixed all-to-all sort cost that dominates at small-to-medium shuffle
     sizes (measured 6.7s vs 2.3s on 600k rows / 32 CPUs; both paths produce
-    byte-identical output, tested).  M read tasks × P partition evaluators,
-    object-store exchange — exactly the shuffle a multi-node cluster runs.
+    byte-identical output, tested).  M read tasks (one per file) × P
+    partition evaluators, object-store exchange — exactly the shuffle a
+    multi-node cluster runs.
 
     Returns the concatenated execution-results Table, or per-partition
     output file paths when ``write_dir`` is given (partitioned, resumable
@@ -283,75 +286,117 @@ def run_batch_exchange(
     lineage; the streaming engine's manifests do — use that path when
     lineage must be machine-checked).
     """
-    import ray
+    import os
 
-    from osprey_ray.stages.stateless import split_rules
-    from osprey_ray.stages.stateful import eval_released, sort_and_dedup
-    from osprey_ray.state.labels import LabelStore
-    from osprey_ray.streaming.job import _read_route
-
-    spec = spec or flagship_spec()
-    stage1 = compile_stateless(spec)
-    rule_plans = split_rules(spec)
-    label_events = label_events or {}
-
-    @ray.remote
-    def eval_part(part: int, tables, spec, rule_plans, lmap, write_dir):
-        import os
-
-        import pyarrow.parquet as pq
-
-        refs = [t for t in tables if isinstance(t, ray.ObjectRef)]
-        if refs:
-            fetched = iter(ray.get(refs))
-            tables = [next(fetched) if isinstance(t, ray.ObjectRef) else t for t in tables]
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return None
-        tbl = pa.concat_tables(live, promote_options="default")
-        states: dict = {}
-        tbl = sort_and_dedup(tbl, states)
-        out, _ = eval_released(tbl, spec, rule_plans, states, LabelStore(), lmap, persist=False)
-        if write_dir is not None:
-            os.makedirs(write_dir, exist_ok=True)
-            path = os.path.join(write_dir, f"part-{part:05d}.parquet")
-            tmp = path + f".tmp.{os.getpid()}"
-            pq.write_table(out, tmp)
-            os.replace(tmp, path)
-            return path
-        return out
-
-    P = num_partitions
     done: dict[int, str] = {}
     if resume:
         assert write_dir is not None, "resume requires write_dir"
-        import os as _os
-
-        for p in range(P):
-            path = _os.path.join(write_dir, f"part-{p:05d}.parquet")
-            if _os.path.exists(path):
+        for p in range(num_partitions):
+            path = os.path.join(write_dir, f"part-{p:05d}.parquet")
+            if os.path.exists(path):
                 done[p] = path
-        if len(done) == P:  # nothing to do — don't even schedule the reads
-            return [done[p] for p in range(P)]
-    reads = [
-        _read_route.options(num_returns=P + 1).remote([f], stage1, P)
-        for f in parquet_files
+        if len(done) == num_partitions:  # nothing to do — don't even schedule the reads
+            return [done[p] for p in range(num_partitions)]
+    return _run_exchange(
+        [[f] for f in parquet_files], spec or flagship_spec(), label_events or {},
+        num_partitions, write_dir, done,
+    )
+
+
+@ray.remote(num_returns=3)
+def _eval_partition(part, tables, spec, rule_plans, lmap, write_dir, hot, block_turns):
+    """One exchange partition: sort/dedup, carve the hot conversations'
+    blocks (stages/salted.py), evaluate the cold rows in one pass.
+    Returns (output table | written path | None, block summaries, held
+    blocks)."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from osprey_ray.stages.stateful import eval_released, sort_and_dedup
+    from osprey_ray.state.labels import LabelStore
+
+    refs = [t for t in tables if isinstance(t, ray.ObjectRef)]
+    if refs:
+        fetched = iter(ray.get(refs))
+        tables = [next(fetched) if isinstance(t, ray.ObjectRef) else t for t in tables]
+    live = [t for t in tables if t.num_rows]
+    if not live:
+        return None, [], []
+    tbl = pa.concat_tables(live, promote_options="default")
+    states: dict = {}
+    tbl = sort_and_dedup(tbl, states)
+    tbl, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
+    out, _ = eval_released(tbl, spec, rule_plans, states, LabelStore(), lmap, persist=False)
+    if write_dir is not None:
+        os.makedirs(write_dir, exist_ok=True)
+        path = os.path.join(write_dir, f"part-{part:05d}.parquet")
+        tmp = path + f".tmp.{os.getpid()}"
+        pq.write_table(out, tmp)
+        os.replace(tmp, path)
+        return path, summaries, held
+    return out, summaries, held
+
+
+_eval_held = ray.remote(eval_seeded_blocks)
+
+
+def _run_exchange(
+    reads: list[list],
+    spec: RuleSpec,
+    label_events: dict,
+    num_partitions: int,
+    write_dir: str | None = None,
+    done: dict | None = None,
+    hot: frozenset = frozenset(),
+    block_turns: int = 1,
+) -> pa.Table | list:
+    """The batch exchange plan shared by ``run_batch_exchange`` and
+    ``stages.salted.run_batch_salted``: one ``_read_route`` task per
+    element of ``reads`` (a list of segment chunks), one partition task per
+    partition not in ``done``.  With a ``hot`` set the route splits hot
+    conversations by ``conv#(turn_idx // block_turns)``, the partition
+    tasks carve their blocks, the driver scans the block summaries, and
+    one seeded-eval task runs per partition that holds blocks."""
+    from osprey_ray.stages.stateless import split_rules
+    from osprey_ray.streaming.job import _read_route
+
+    P = num_partitions
+    done = done or {}
+    stage1 = compile_stateless(spec)
+    rule_plans = split_rules(spec)
+    routed = [
+        _read_route.options(num_returns=P + 1).remote(r, stage1, P, hot or None, block_turns)
+        for r in reads
     ]
     parts = {
-        p: eval_part.remote(
-            p, [r[p] for r in reads], spec, rule_plans, label_events, write_dir
+        p: _eval_partition.remote(
+            p, [r[p] for r in routed], spec, rule_plans, label_events, write_dir,
+            hot, block_turns,
         )
         for p in range(P)
         if p not in done
     }
-    fresh = dict(zip(parts, ray.get(list(parts.values()))))
+    seeded = []
+    if hot:
+        summaries = dict(zip(parts, ray.get([parts[p][1] for p in parts])))
+        seeds = scan_seeds([s for ss in summaries.values() for s in ss], {}, spec)
+        seeded = [
+            _eval_held.remote(
+                parts[p][2], {(c, b): seeds[(c, b)] for c, b, _t, _s in ss},
+                spec, rule_plans,
+            )
+            for p, ss in summaries.items()
+            if ss
+        ]
+    fresh = dict(zip(parts, ray.get([parts[p][0] for p in parts])))
     if write_dir is not None:
         return [
             done.get(p) or fresh.get(p)
             for p in range(P)
             if (done.get(p) or fresh.get(p)) is not None
         ]
-    outs = [o for o in fresh.values() if o is not None]
+    outs = [o for o in list(fresh.values()) + ray.get(seeded) if o is not None and o.num_rows]
     return pa.concat_tables(outs, promote_options="default") if outs else pa.table({})
 
 

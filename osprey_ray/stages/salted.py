@@ -1,30 +1,39 @@
-"""Hot-conversation salting for the batch exchange.
+"""Hot-conversation salting: the one implementation of the protocol.
 
 BASELINE.json's north_star requires "hash-partitioned by conv_id with
 explicit salting for hot conversations".  Whole-key routing serializes a
-whale conversation onto one partition evaluator; this module splits a hot
-conversation into contiguous turn-index blocks (``blk = turn_idx //
-block_turns``), routes each ``(conv, blk)`` to its own partition, and still
-produces output byte-equal to unsalted evaluation:
+whale conversation onto one evaluator; salting routes each hot
+conversation's contiguous turn-index blocks (``blk = turn_idx //
+block_turns``) by the sub-key ``conv_id#blk`` instead (the route is
+``streaming.job._read_route``), and still produces output byte-equal to
+unsalted evaluation:
 
-1. **Phase A (parallel)** — each hot partition sorts/dedups its blocks and
-   computes a tiny per-block *boundary summary*: the sliding-window event
-   tail, tumbling-bucket partials, session-boundary gap facts, the CEP
-   first-match tail, and the last KV write.  Exactly the state the streaming
-   engine carries between epochs (stages/stateful.py eval_released
-   ``persist=True``), derived without evaluating rules.
-2. **Scan (driver, cheap)** — per conversation, summaries merge in block
-   order into the carry-state each block starts from.  One tiny dict per
-   block; associative per feature family (counts/windows/sessions/CEP
-   compose; SURVEY §2.9 notes window merges are associative).
-3. **Phase B (parallel)** — every block evaluates concurrently through the
-   SAME ``eval_released(persist=True)`` carry path streaming uses per epoch,
-   seeded with its merged incoming state.
+1. **Carve** (:func:`carve_hot_blocks`, per partition) — split the hot
+   ``(conv, blk)`` runs off a sorted, deduped slice, hold them, and compute
+   each one's tiny *boundary summary* (:func:`summarize_block`): the
+   sliding-window event tail, tumbling-bucket partials, session-boundary
+   gap facts, the CEP first-match tail and the last KV write.  Exactly the
+   state ``eval_released(persist=True)`` carries, derived without
+   evaluating rules.
+2. **Scan** (:func:`scan_seeds`, driver, cheap) — per conversation,
+   summaries merge in turn order (:func:`merge_state`) from the carry into
+   the state each block starts from.  One tiny dict per block; associative
+   per feature family (SURVEY §2.9 notes window merges are associative).
+3. **Seeded eval** (:func:`eval_seeded_blocks`, per partition) — every
+   held block evaluates through the SAME ``eval_released(persist=True)``
+   carry path streaming uses per epoch, seeded with its incoming state.
 
-Label-dependent specs are rejected: read-your-writes label feedback is
-inherently sequential per conversation (the reference's per-event executor
-has the same ordering dependency, worker/sinks/sink/rules_sink.py:121-177),
-so label rulesets keep whole-conversation routing.
+Batch (:func:`run_batch_salted`, on ``run_batch_exchange``'s route and
+partition tasks) runs the protocol once over the whole input with an
+empty carry; streaming (``StreamingJob(hot_convs=...)``) runs it once per
+epoch, with the carry held by the driver and checkpointed with the
+manifests.
+
+Label-dependent specs are rejected (:func:`check_hot_routing`):
+read-your-writes label feedback is inherently sequential per conversation
+(the reference's per-event executor has the same ordering dependency,
+worker/sinks/sink/rules_sink.py:121-177), so label rulesets keep
+whole-conversation routing.
 
 Hot-conversation *detection* is a performance heuristic, not a correctness
 decision — salted and unsalted evaluation agree for every conversation
@@ -33,8 +42,6 @@ filtering without affecting results.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -54,8 +61,27 @@ from osprey_ray.rules import (
     WindowCount,
 )
 from osprey_ray.stages.stateful import _conv_codes, eval_released, sort_and_dedup
-from osprey_ray.stages.stateless import compile_stateless, split_rules
 from osprey_ray.state.labels import LabelStore
+
+
+def check_hot_routing(spec: RuleSpec) -> None:
+    """Reject specs whose semantics need a conversation's whole stream in
+    one place, which sub-key routing splits across partitions: label
+    feedback (read-your-writes, sequential per conversation) and the
+    AbsenceAlert / FollowedBy timers (they must see every turn to disarm;
+    supporting them needs driver-merged timer partials)."""
+    if spec.uses_labels():
+        raise ValueError(
+            "hot-conversation salting requires a label-free spec: label "
+            "feedback is sequential per conversation — use whole-key "
+            "routing (run_batch / run_batch_exchange, no hot_convs)"
+        )
+    for attr, name in (("absences", "AbsenceAlert"), ("follows", "FollowedBy")):
+        if getattr(spec, attr, None):
+            raise NotImplementedError(
+                f"{name} patterns are not supported together with "
+                "hot-conversation sub-key routing (hot_convs)"
+            )
 
 
 def _flag(tbl: pa.Table, col: str) -> np.ndarray:
@@ -232,6 +258,70 @@ def merge_state(prev: dict | None, summ: dict, spec: RuleSpec) -> dict:
     return out
 
 
+def carve_hot_blocks(
+    tbl: pa.Table, spec: RuleSpec, hot: frozenset, block_turns: int
+) -> tuple[pa.Table, list, list]:
+    """Split the hot conversations' contiguous ``(conv, turn_idx //
+    block_turns)`` runs off a sorted, deduped slice.  Returns ``(cold rows,
+    held blocks [(conv, blk, table)], summaries [(conv, blk, first_turn,
+    summary)])``; the summaries feed :func:`scan_seeds`, the held blocks
+    :func:`eval_seeded_blocks`."""
+    if not hot or tbl.num_rows == 0:
+        return tbl, [], []
+    codes, dictionary = _conv_codes(tbl)
+    names = dictionary.to_pylist()
+    hot_code = np.array([c in hot for c in names], dtype=bool)
+    if not hot_code.any():
+        return tbl, [], []
+    row_hot = hot_code[codes]
+    turn = tbl["turn_idx"].to_numpy().astype(np.int64)
+    blk = turn // np.int64(block_turns)
+    n = len(codes)
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    change[1:] = (codes[1:] != codes[:-1]) | (blk[1:] != blk[:-1])
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], n)
+    hot_runs = row_hot[starts]
+    held, summaries = [], []
+    for s, e in zip(starts[hot_runs], ends[hot_runs]):
+        cid, b = names[codes[s]], int(blk[s])
+        block = tbl.slice(int(s), int(e - s)).combine_chunks()
+        held.append((cid, b, block))
+        summaries.append((cid, b, int(turn[s]), summarize_block(block, spec)))
+    return tbl.filter(pa.array(~row_hot)), held, summaries
+
+
+def scan_seeds(summaries: list, carry: dict, spec: RuleSpec) -> dict:
+    """Driver scan: per conversation, merge block summaries in turn order
+    from ``carry`` (conv -> carry-state, advanced in place past every
+    block) and return each block's incoming state ``{(conv, blk): seed}``."""
+    seeds: dict = {}
+    for cid, blk, _first_turn, summ in sorted(summaries, key=lambda x: (x[0], x[2])):
+        prev = carry.get(cid)
+        seeds[(cid, blk)] = prev or {}
+        carry[cid] = merge_state(prev, summ, spec)
+    return seeds
+
+
+def eval_seeded_blocks(held: list, seeds: dict, spec: RuleSpec, rule_plans) -> pa.Table | None:
+    """Evaluate held blocks, each from its scanned incoming seed; None when
+    nothing is left after the cross-epoch dedup against the seed.
+    ``eval_released`` writes into the state dict it is given, so each block
+    evaluates on a copy of its seed: no seed ever aliases the scan's carry,
+    whether or not a Ray call (which copies arguments) sits in between."""
+    outs = []
+    for cid, b, block in held:
+        states = {cid: dict(seeds.get((cid, b)) or {})}
+        block = sort_and_dedup(block, states)
+        if block.num_rows:
+            out, _ = eval_released(
+                block, spec, rule_plans, states, LabelStore(), {}, persist=True
+            )
+            outs.append(out)
+    return pa.concat_tables(outs, promote_options="default") if outs else None
+
+
 def detect_hot_convs(parquet_files: list[str], threshold: int) -> list[str]:
     """Distributed approximate hot-conversation detection: per-file value
     counts, locally filtered to convs with count ≥ threshold/(2·n_files)
@@ -268,177 +358,24 @@ def run_batch_salted(
     hot_convs: list[str] | None = None,
     hot_threshold: int = 250_000,
 ) -> pa.Table:
-    """Salted batch evaluation: cold conversations follow the normal
-    hash-exchange path; hot conversations evaluate block-parallel with the
-    summary-scan carry protocol.  Output is byte-equal to
-    ``run_batch_exchange`` (tested) — salting is purely a skew/latency fix.
-    """
-    import ray
+    """Salted batch evaluation: ``run_batch_exchange``'s plan with a hot
+    set — cold conversations evaluate whole in their partition task, hot
+    ones block-parallel with the carve/scan/seeded-eval protocol.  Output
+    is byte-equal to ``run_batch_exchange`` (tested) — salting is purely a
+    skew/latency fix.
 
-    if spec.uses_labels():
-        raise ValueError(
-            "run_batch_salted requires a label-free spec; label feedback is "
-            "sequential per conversation — use run_batch/run_batch_exchange"
-        )
-    stage1 = compile_stateless(spec)
-    rule_plans = split_rules(spec)
+    Reads go by bounded row-group chunks (one read task per ~512k rows of
+    the segment-log plan), not whole files: the batch layout is
+    conv-hash-partitioned, so a whale conversation concentrates in ONE
+    file, and whole-file read tasks would serialize its stage-1 text
+    kernels on one core no matter how well stage 2 is salted."""
+    from osprey_ray.pipelines.flagship import _run_exchange
+    from osprey_ray.streaming.source import SegmentLogStream
+
+    check_hot_routing(spec)
     if hot_convs is None:
         hot_convs = detect_hot_convs(parquet_files, hot_threshold)
-    hot = frozenset(hot_convs)
-    P = num_partitions
-
-    @ray.remote
-    def route(path: str, row_groups, stage1, hot, P: int, B: int):
-        """Stage 1 + salted routing: cold rows → crc32(conv) % P;
-        hot rows → P + crc32(f'{conv}#{blk}') % P.
-
-        Takes a row-group range, not a whole file: the batch layout is
-        conv-hash-partitioned, so a whale conversation concentrates in ONE
-        file — whole-file read tasks would serialize its stage-1 text
-        kernels on one core, dominating the wall no matter how well stage 2
-        is salted."""
-        import pyarrow.parquet as pq
-
-        if row_groups is None:
-            tbl = pq.read_table(path)
-        else:
-            tbl = pq.ParquetFile(path).read_row_groups(list(row_groups))
-        if "_arrival_us" in tbl.column_names:
-            tbl = tbl.drop_columns(["_arrival_us"])
-        t1 = stage1(tbl)
-        col = t1["conv_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        enc = col.dictionary_encode()
-        names = enc.dictionary.to_pylist()
-        dict_cold = np.array([zlib.crc32(c.encode()) % P for c in names], dtype=np.int64)
-        dict_hot = np.array([c in hot for c in names], dtype=bool)
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        parts = dict_cold[idx]
-        is_hot = dict_hot[idx]
-        if is_hot.any():
-            blk = t1["turn_idx"].to_numpy().astype(np.int64) // B
-            # crc32 only per UNIQUE (conv, blk) pair — never per row
-            combo = idx[is_hot].astype(np.int64) * (1 << 32) + blk[is_hot]
-            uniq, inv = np.unique(combo, return_inverse=True)
-            uniq_parts = np.array(
-                [
-                    zlib.crc32(f"{names[int(u >> 32)]}#{int(u & 0xFFFFFFFF)}".encode()) % P
-                    for u in uniq
-                ],
-                dtype=np.int64,
-            )
-            parts[is_hot] = P + uniq_parts[inv]
-        ci = t1.schema.get_field_index("conv_id")
-        t1 = t1.set_column(ci, "conv_id", enc)
-        # one stable argsort + contiguous slices: O(n log n), not O(P·n)
-        order = np.argsort(parts, kind="stable")
-        t1 = t1.take(pa.array(order))
-        bounds = np.searchsorted(parts[order], np.arange(2 * P + 1))
-        return [
-            t1.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-            for p in range(2 * P)
-        ]
-
-    def _resolve(tables):
-        # refs nested inside a list arg are not auto-resolved by Ray
-        refs = [t for t in tables if isinstance(t, ray.ObjectRef)]
-        if refs:
-            fetched = iter(ray.get(refs))
-            tables = [next(fetched) if isinstance(t, ray.ObjectRef) else t for t in tables]
-        return tables
-
-    @ray.remote
-    def eval_cold(tables, spec, rule_plans):
-        tables = _resolve(tables)
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return None
-        tbl = pa.concat_tables(live, promote_options="default")
-        states: dict = {}
-        tbl = sort_and_dedup(tbl, states)
-        out, _ = eval_released(tbl, spec, rule_plans, states, LabelStore(), {}, persist=False)
-        return out
-
-    @ray.remote
-    def hot_phase_a(tables, spec, B: int):
-        """Sort/dedup this hot partition, slice per (conv, blk), return
-        [(conv, blk, summary, block_table_ref)]."""
-        tables = _resolve(tables)
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return []
-        tbl = sort_and_dedup(pa.concat_tables(live, promote_options="default"), {})
-        codes, dictionary = _conv_codes(tbl)
-        turn = tbl["turn_idx"].to_numpy().astype(np.int64)
-        blk = turn // B
-        change = np.empty(len(codes), dtype=bool)
-        change[0] = True
-        change[1:] = (codes[1:] != codes[:-1]) | (blk[1:] != blk[:-1])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(codes))
-        out = []
-        import ray as _ray
-
-        for s, e in zip(starts, ends):
-            sub = tbl.slice(s, e - s).combine_chunks()
-            summ = summarize_block(sub, spec)
-            out.append(
-                (dictionary[codes[s]].as_py(), int(blk[s]), summ, _ray.put(sub))
-            )
-        return out
-
-    @ray.remote
-    def hot_phase_b(block_tbl, spec, rule_plans, conv: str, state: dict):
-        states = {conv: state} if state else {}
-        out, _ = eval_released(
-            block_tbl, spec, rule_plans, states, LabelStore(), {}, persist=True
-        )
-        return out
-
-    # one route task per bounded row-group chunk (~512k rows), so a whale
-    # file's stage-1 work parallelizes instead of pinning one core
-    import pyarrow.parquet as pq
-
-    chunks: list[tuple[str, list[int] | None]] = []
-    target_rows = 524_288
-    for f in parquet_files:
-        md = pq.ParquetFile(f).metadata
-        groups: list[int] = []
-        rows = 0
-        for g in range(md.num_row_groups):
-            groups.append(g)
-            rows += md.row_group(g).num_rows
-            if rows >= target_rows:
-                chunks.append((f, groups))
-                groups, rows = [], 0
-        if groups:
-            chunks.append((f, groups))
-    reads = [
-        route.options(num_returns=2 * P).remote(f, rg, stage1, hot, P, block_turns)
-        for f, rg in chunks
-    ]
-    cold = [
-        eval_cold.remote([r[p] for r in reads], spec, rule_plans) for p in range(P)
-    ]
-    hot_a = [
-        hot_phase_a.remote([r[P + p] for r in reads], spec, block_turns)
-        for p in range(P)
-    ]
-    infos = [item for part in ray.get(hot_a) for item in part]
-
-    by_conv: dict[str, list] = {}
-    for conv, blk, summ, ref in infos:
-        by_conv.setdefault(conv, []).append((blk, summ, ref))
-    hot_b = []
-    for conv, blocks in by_conv.items():
-        blocks.sort(key=lambda x: x[0])
-        state: dict | None = None
-        for blk, summ, ref in blocks:
-            hot_b.append(hot_phase_b.remote(ref, spec, rule_plans, conv, state or {}))
-            state = merge_state(state, summ, spec)
-
-    outs = [o for o in ray.get(cold + hot_b) if o is not None and o.num_rows]
-    if not outs:
-        return pa.table({})
-    return pa.concat_tables(outs, promote_options="default")
+    reads = [c for c, _s, _e in SegmentLogStream(parquet_files, rows_per_epoch=524_288).plan]
+    return _run_exchange(
+        reads, spec, {}, num_partitions, hot=frozenset(hot_convs), block_turns=block_turns
+    )

@@ -14,6 +14,10 @@ The streaming analogue of the reference's Kafka → coordinator → worker loop
   persistent :class:`StateShard` actors (the hash-ring analogue,
   worker/lib/etcd/ring.py, with crc32(conv_id) % P); epoch e+1 is polled
   and read while e is processed;
+- hot conversations (``hot_convs``) route by the sub-key
+  ``conv_id#(turn_idx // hot_block_turns)``; shards carve and hold their
+  blocks, and the driver scans the block summaries from its carry state
+  and seeds their evaluation (the salting protocol, stages/salted.py);
 - the event-time watermark advances as ``max(seen ts) - allowed_lateness``
   (or the source's own per-partition basis), monotonically; shards release
   and evaluate rows ≤ watermark in order;
@@ -48,6 +52,7 @@ import pyarrow.compute as pc
 import ray
 
 from osprey_ray.rules import RuleSpec
+from osprey_ray.stages.salted import check_hot_routing, scan_seeds
 from osprey_ray.stages.stateless import StatelessStage, compile_stateless
 from osprey_ray.streaming.shard import StateShard
 from osprey_ray.streaming.source import SegmentLogStream
@@ -149,16 +154,19 @@ def _read_route(
                 ],
                 dtype=np.int32,
             )
-            parts = parts.copy()
             parts[row_hot] = pcrc[inv]
     max_ts = pc.max(t1["ts"].cast(pa.int64())).as_py() if t1.num_rows else I64_MIN
     ci = t1.schema.get_field_index("conv_id")
     t1 = t1.set_column(ci, "conv_id", enc)
-    out = []
-    parts_arr = pa.array(parts)
-    for p in range(num_parts):
-        out.append(t1.filter(pc.equal(parts_arr, p)))
-    return out + [max_ts]
+    # one stable argsort + contiguous slices: O(n log n), not O(P·n), and
+    # each partition keeps its rows in input order
+    order = np.argsort(parts, kind="stable")
+    t1 = t1.take(pa.array(order))
+    bounds = np.searchsorted(parts[order], np.arange(num_parts + 1))
+    return [
+        t1.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
+        for p in range(num_parts)
+    ] + [max_ts]
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -232,7 +240,6 @@ class StreamingJob:
         checkpoint_interval: int = 1,
         pending_spill_rows: int = 500_000,
         rows_per_epoch: int | None = None,
-        salt_block_rows: int | None = None,
         spec_updates: dict[int, RuleSpec] | None = None,
         hot_convs: set | None = None,
         hot_block_turns: int = 512,
@@ -273,37 +280,17 @@ class StreamingJob:
         self.label_events = label_events or {}
         self.P = num_shards
         self.files_per_read_task = files_per_read_task
-        # streaming hot-conversation salting (label-free specs only): a
-        # released slice holding > salt_block_rows rows of one conversation
-        # evaluates block-parallel inside the owning shard
-        self.salt_block_rows = salt_block_rows
-        # routing-level salting (the sub-key exchange): conversations in
-        # hot_convs route by (conv, turn-block) so their BYTES spread across
-        # shards; the driver holds their carry state, scan-merges per-block
-        # boundary summaries each epoch, and seeds distributed block
-        # evaluation.  Label rulesets are excluded (read-your-writes label
-        # feedback is sequential per conversation).  The hot set is static
-        # per run — pick it with stages.salted.detect_hot_convs — and is
-        # recorded in every manifest for resume validation.
-        self.hot_convs = (
-            frozenset(hot_convs) if (hot_convs and not spec.uses_labels()) else frozenset()
-        )
-        if getattr(spec, "absences", None) and self.hot_convs:
-            # sub-key routing spreads ONE conversation's rows across shards,
-            # but an absence timer must see that conversation's whole stream
-            # to disarm correctly.  Supporting both needs driver-merged
-            # absence partials (the hot open-window protocol); until then,
-            # reject loudly rather than mis-fire alerts.
-            raise NotImplementedError(
-                "AbsenceAlert patterns are not supported together with "
-                "hot-conversation sub-key routing (hot_convs)"
-            )
-        if getattr(spec, "follows", None) and self.hot_convs:
-            # same whole-conversation requirement as absence timers
-            raise NotImplementedError(
-                "FollowedBy patterns are not supported together with "
-                "hot-conversation sub-key routing (hot_convs)"
-            )
+        # hot-conversation salting (the sub-key exchange, stages/salted.py):
+        # conversations in hot_convs route by (conv, turn-block) so their
+        # BYTES spread across shards; the driver holds their carry state,
+        # scans per-block boundary summaries each epoch, and seeds
+        # distributed block evaluation.  Specs that need a conversation's
+        # whole stream in one place are rejected (check_hot_routing).  The
+        # hot set is static per run — pick it with
+        # stages.salted.detect_hot_convs — and is recorded in every manifest.
+        self.hot_convs = frozenset(hot_convs or ())
+        if self.hot_convs:
+            check_hot_routing(spec)
         self.hot_block_turns = hot_block_turns
         self.hot_states: dict = {}          # conv_id -> carry state
         self.hot_open_windows: dict = {}    # same keying as shard open_windows
@@ -385,7 +372,6 @@ class StreamingJob:
             StateShard.remote(
                 self.spec, p, self.data_dir, per_shard[p],
                 pending_spill_rows=self.pending_spill_rows,
-                salt_block_rows=self.salt_block_rows,
                 hot_convs=self.hot_convs or None,
                 hot_block_turns=self.hot_block_turns,
                 stream_write_timeout_s=self.stream_write_timeout_s,
@@ -604,31 +590,15 @@ class StreamingJob:
         stateless stage for subsequent read tasks and push the new spec to
         every shard (actor FIFO ordering lands the swap between epochs)."""
         spec.validate()
-        if self.hot_convs and spec.uses_labels():
-            raise ValueError(
-                "cannot hot-swap a label-using ruleset while hot-conversation "
-                "routing is active: label feedback is sequential per "
-                "conversation and incompatible with the sub-key exchange"
-            )
-        if self.hot_convs and getattr(spec, "absences", None):
-            raise ValueError(
-                "cannot hot-swap AbsenceAlert patterns in while "
-                "hot-conversation sub-key routing is active (see __init__)"
-            )
-        if self.hot_convs and getattr(spec, "follows", None):
-            raise ValueError(
-                "cannot hot-swap FollowedBy patterns in while "
-                "hot-conversation sub-key routing is active (see __init__)"
-            )
+        if self.hot_convs:
+            check_hot_routing(spec)
         if self.state_ttl_us is not None:
             _validate_state_ttl(spec, self.state_ttl_us, self.lateness_us)
         self.spec = spec
         self.stage1 = compile_stateless(spec)
         self._cur_hash = spec.content_hash()
         if self.shards is not None:
-            ray.get(
-                [s.update_spec.remote(spec, self.salt_block_rows) for s in self.shards]
-            )
+            ray.get([s.update_spec.remote(spec) for s in self.shards])
 
     def finalize(self) -> dict:
         """Flush all pending rows (watermark → +inf) as a final epoch —
@@ -655,29 +625,21 @@ class StreamingJob:
 
     def _hot_phase(self, e, stats, watermark, spec, write: bool) -> dict | None:
         """Per-epoch driver side of the routed hot-conversation exchange:
-        gather every shard's block boundary summaries, scan-merge them in
-        (conv, turn) order from the driver-held carry state (the batch
-        salting protocol, stages/salted.py), seed the shards' held-block
-        evaluation, fold the returned window partials into the driver's hot
-        open-window accumulators, and emit the hot windows the watermark
-        closed.  Work here is O(hot convs × blocks) dicts — never rows."""
+        gather every shard's block boundary summaries, scan them from the
+        driver-held carry state (stages/salted.py ``scan_seeds``), seed the
+        shards' held-block evaluation, fold the returned window partials
+        into the driver's hot open-window accumulators, and emit the hot
+        windows the watermark closed.  Work here is O(hot convs × blocks)
+        dicts — never rows."""
         if not self.hot_convs:
             return None
-        from osprey_ray.stages.salted import merge_state
         from osprey_ray.streaming.shard import emit_closed_windows
         from osprey_ray.rules import SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum
 
         out = {"files": [], "released": 0, "fired": 0, "windows_file": None}
         summaries = [t for s in stats for t in s.get("hot_summaries", [])]
         if summaries:
-            summaries.sort(key=lambda x: (x[0], x[2]))  # (conv, first_turn)
-            seeds: dict = {}
-            advanced: dict = {}
-            for cid, blk, _ft, summ in summaries:
-                prev = advanced.get(cid, self.hot_states.get(cid))
-                seeds[(cid, blk)] = prev or {}
-                advanced[cid] = merge_state(prev, summ, spec)
-            self.hot_states.update(advanced)
+            seeds = scan_seeds(summaries, self.hot_states, spec)
             holders = [i for i, s in enumerate(stats) if s.get("hot_summaries")]
             hres = ray.get(
                 [self.shards[i].eval_held_blocks.remote(e, seeds, write) for i in holders]

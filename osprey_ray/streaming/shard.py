@@ -15,6 +15,9 @@ Responsibilities:
 - drop rows older than the watermark (late data) and count them;
 - run :func:`osprey_ray.stages.stateful.eval_released` over each released
   slice with carried per-conversation state + the shard's LabelStore;
+- carve routed hot-conversation blocks off the released slice and hold
+  them until the driver's scan seeds their evaluation
+  (:meth:`StateShard.eval_held_blocks`; protocol in stages/salted.py);
 - write its own output partition ``part-e{epoch}-p{part}.parquet`` via
   tmp+atomic-rename (idempotent: deterministic bytes, safe to re-run);
 - snapshot/restore its full state for checkpoints.
@@ -37,22 +40,12 @@ import pyarrow.parquet as pq
 import ray
 
 from osprey_ray.rules import RuleSpec
+from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks
 from osprey_ray.stages.stateful import _conv_codes, eval_released, sort_and_dedup
-
-I64_MIN = np.iinfo(np.int64).min
-
-
-@ray.remote
-def _eval_block(tbl: pa.Table, spec, rule_plans, conv: str, state: dict) -> pa.Table:
-    """One salted block of a hot conversation, evaluated with its merged
-    incoming carry state (same contract as stages/salted.py phase B)."""
-    from osprey_ray.state.labels import LabelStore
-
-    states = {conv: state} if state else {}
-    out, _ = eval_released(tbl, spec, rule_plans, states, LabelStore(), {}, persist=True)
-    return out
 from osprey_ray.stages.stateless import split_rules
 from osprey_ray.state.labels import LabelStore
+
+I64_MIN = np.iinfo(np.int64).min
 
 
 def emit_closed_windows(
@@ -110,7 +103,6 @@ class StateShard:
         out_dir: str,
         label_events: dict[str, list],
         pending_spill_rows: int = 500_000,
-        salt_block_rows: int | None = None,
         hot_convs: frozenset | None = None,
         hot_block_turns: int = 512,
         stream_write_timeout_s: float = 30.0,
@@ -126,12 +118,12 @@ class StateShard:
         self.out_dir = out_dir
         self.label_events = label_events
         self.rule_plans = split_rules(spec)
-        # routing-level hot-conversation salting (the sub-key exchange the
-        # round-2 verdict called for): rows of a conversation in this set
-        # arrive routed by (conv_id, turn_idx // hot_block_turns), so the
-        # whale's BYTES spread across shards instead of all landing here.
-        # This shard only summarizes + holds its blocks; the driver owns the
-        # carry state and seeds the evaluation (streaming/job.py).
+        # hot-conversation salting (the sub-key exchange, stages/salted.py):
+        # rows of a conversation in this set arrive routed by (conv_id,
+        # turn_idx // hot_block_turns), so the whale's BYTES spread across
+        # shards instead of all landing here.  This shard only carves,
+        # summarizes and holds its blocks; the driver owns the carry state
+        # and seeds the evaluation (streaming/job.py _hot_phase).
         self.hot_convs = hot_convs or frozenset()
         self.hot_block_turns = hot_block_turns
         self._held_blocks: dict[int, list] = {}  # epoch -> [(cid, blk, tbl)]
@@ -150,16 +142,6 @@ class StateShard:
         # their min ts; consumed spill files are deleted after the next
         # snapshot commits (resume uses the latest snapshot only).
         self.pending_spill_rows = pending_spill_rows
-        # intra-epoch hot-conversation salting (streaming side of the
-        # north_star salting requirement): when a released slice holds more
-        # than salt_block_rows rows of ONE conversation, the shard splits it
-        # into ordered blocks, scan-merges boundary summaries from its carry
-        # state (stages/salted.py protocol), and evaluates the blocks as
-        # parallel Ray tasks instead of serially in this actor.  Label
-        # rulesets are excluded (sequential read-your-writes).
-        self.salt_block_rows = (
-            salt_block_rows if (salt_block_rows and not spec.uses_labels()) else None
-        )
         # per-stream write isolation (ref output_sink.py:46-89)
         self.stream_write_timeout_s = stream_write_timeout_s
         self.stream_write_retries = stream_write_retries
@@ -187,7 +169,7 @@ class StateShard:
         # span, so eviction is semantically invisible)
         self.state_ttl_us = state_ttl_us
 
-    def update_spec(self, spec: RuleSpec, salt_block_rows: int | None = None) -> bool:
+    def update_spec(self, spec: RuleSpec) -> bool:
         """Hot-swap the compiled ruleset at an epoch boundary (the etcd-watch
         hot reload of the reference, worker/lib/osprey_engine.py:127-149,
         re-expressed as a driver-coordinated boundary swap — actor FIFO
@@ -201,12 +183,6 @@ class StateShard:
         self.rule_plans = split_rules(spec)
         self.tumbling = [s for s in spec.stateful if isinstance(s, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct))]
         self.sessions = [s for s in spec.stateful if isinstance(s, SessionWindow)]
-        if salt_block_rows is not None:
-            self.salt_block_rows = (
-                salt_block_rows if not spec.uses_labels() else None
-            )
-        elif self.salt_block_rows and spec.uses_labels():
-            self.salt_block_rows = None
         live = {s.name for s in self.tumbling} | {s.name for s in self.sessions}
         self.open_windows = {
             k: v for k, v in self.open_windows.items() if k[1] in live
@@ -302,8 +278,8 @@ class StateShard:
         if released is not None and released.num_rows:
             released = sort_and_dedup(released, self.states)
             if self.absences:
-                # arm/disarm timers on the full released slice BEFORE hot/
-                # whale carving — absence tracking only needs (conv, ts,
+                # arm/disarm timers on the full released slice BEFORE hot
+                # carving — absence tracking only needs (conv, ts,
                 # stateless masks), and the whole conversation routes to
                 # this shard (AbsenceAlert + hot_convs sub-key routing is
                 # rejected at job construction)
@@ -317,16 +293,16 @@ class StateShard:
                     self.pending_pairs, released, self.follows, watermark_us
                 )
             if self.hot_convs:
-                released, hot_summaries = self._hold_hot_blocks(released, epoch)
-            whale_refs: list = []
-            if self.salt_block_rows:
-                released, whale_refs = self._launch_whale_blocks(released)
+                # hold this shard's routed hot blocks until the driver's
+                # scan seeds them (eval_held_blocks)
+                released, held, hot_summaries = carve_hot_blocks(
+                    released, self.spec, self.hot_convs, self.hot_block_turns
+                )
+                if held:
+                    self._held_blocks[epoch] = held
             out, muts = eval_released(
                 released, self.spec, self.rule_plans, self.states, self.labels, self.label_events
             )
-            if whale_refs:
-                outs = ([out] if out.num_rows else []) + ray.get(whale_refs)
-                out = pa.concat_tables(outs, promote_options="default")
             out_rows = out.num_rows
             if self.state_ttl_us is not None and released.num_rows:
                 self._touch_and_evict(released, watermark_us)
@@ -438,69 +414,19 @@ class StateShard:
             "hot_summaries": hot_summaries,
         }
 
-    def _hold_hot_blocks(self, tbl: pa.Table, epoch: int):
-        """Carve this shard's routed blocks of hot conversations out of the
-        released slice: summarize each (stages/salted.py boundary summary),
-        hold the rows for driver-seeded evaluation, and return the
-        summaries.  The driver scan-merges them in block order with its
-        hot carry state and calls :meth:`eval_held_blocks`."""
-        from osprey_ray.stages.salted import summarize_block
-
-        codes, dictionary = _conv_codes(tbl)
-        names = dictionary.to_pylist()
-        hot_code = np.array([c in self.hot_convs for c in names], dtype=bool)
-        if not hot_code.any():
-            return tbl, []
-        row_hot = hot_code[codes]
-        turn = tbl["turn_idx"].to_numpy().astype(np.int64)
-        blk = turn // np.int64(self.hot_block_turns)
-        n = len(codes)
-        # contiguous (conv, blk) runs — the slice is sorted by (conv, turn)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = (codes[1:] != codes[:-1]) | (blk[1:] != blk[:-1])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        held = self._held_blocks.setdefault(epoch, [])
-        summaries = []
-        for s, e in zip(starts, ends):
-            if not row_hot[s]:
-                continue
-            cid = names[codes[s]]
-            b = int(blk[s])
-            block = tbl.slice(int(s), int(e - s)).combine_chunks()
-            held.append((cid, b, block))
-            summaries.append((cid, b, int(turn[s]), summarize_block(block, self.spec)))
-        if not summaries:
-            return tbl, []
-        return tbl.filter(pa.array(~row_hot)), summaries
-
     def eval_held_blocks(self, epoch: int, seeds: dict, write: bool = True) -> dict:
-        """Phase B of the routed hot-conversation exchange: evaluate the
-        blocks held by :meth:`_hold_hot_blocks` for ``epoch``, each seeded
+        """Seeded eval of the routed hot-conversation exchange: evaluate the
+        blocks :meth:`process` held for ``epoch``, each seeded
         with the driver's scan-merged incoming carry state.  Returns the
         output file plus compact window partials (the driver owns hot
         conversations' open-window accumulators — a hot window spans
         shards, so per-shard accumulation would emit partial duplicates)."""
-        held = self._held_blocks.pop(epoch, [])
-        if not held:
+        out = eval_seeded_blocks(
+            self._held_blocks.pop(epoch, []), seeds, self.spec, self.rule_plans
+        )
+        if out is None:
             return {"part": self.part, "file": None, "released": 0, "fired": 0,
                     "win_partials": []}
-        outs = []
-        for cid, b, block in held:
-            seed = seeds.get((cid, b)) or {}
-            block = sort_and_dedup(block, {cid: seed} if seed else {})
-            if block.num_rows == 0:
-                continue
-            out, _ = eval_released(
-                block, self.spec, self.rule_plans, {cid: seed}, LabelStore(), {},
-                persist=True,
-            )
-            outs.append(out)
-        if not outs:
-            return {"part": self.part, "file": None, "released": 0, "fired": 0,
-                    "win_partials": []}
-        out = pa.concat_tables(outs, promote_options="default")
         partials: dict = {}
         self._accumulate_windows(out, into=partials)
         fired = 0
@@ -581,42 +507,6 @@ class StateShard:
         return emit_closed_windows(
             self.open_windows, self.tumbling, self.sessions, watermark_us
         )
-
-    def _launch_whale_blocks(self, tbl: pa.Table):
-        """Carve conversations larger than ``salt_block_rows`` out of the
-        released slice into ordered blocks evaluated as parallel tasks; the
-        shard's carry state advances through the summary scan (exactly the
-        batch salting protocol), so the next epoch continues seamlessly.
-        Returns (remaining rows, block result refs)."""
-        from osprey_ray.stages.salted import merge_state, summarize_block
-
-        codes, dictionary = _conv_codes(tbl)
-        n = len(codes)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        keep = np.ones(n, dtype=bool)
-        refs: list = []
-        B = self.salt_block_rows
-        for s, e in zip(starts, ends):
-            if e - s <= B:
-                continue
-            cid = dictionary[codes[s]].as_py()
-            keep[s:e] = False
-            state = self.states.get(cid)
-            for off in range(int(s), int(e), B):
-                blk = tbl.slice(off, min(B, int(e) - off)).combine_chunks()
-                summ = summarize_block(blk, self.spec)
-                refs.append(
-                    _eval_block.remote(blk, self.spec, self.rule_plans, cid, state or {})
-                )
-                state = merge_state(state, summ, self.spec)
-            self.states[cid] = state
-        if not refs:
-            return tbl, []
-        return tbl.filter(pa.array(keep)), refs
 
     def _spill_pending(self) -> None:
         tbl = pa.concat_tables(self.pending, promote_options="default")

@@ -418,6 +418,34 @@ def test_salted_rejects_label_specs(small_data):
         run_batch_salted([], flagship_spec())
 
 
+@pytest.mark.parametrize("block_turns", [3, 7, 50])
+@pytest.mark.parametrize("spec_name", ["kitchen_sink_spec", "flagship_sql_spec"])
+def test_salting_protocol_no_ray(small_data, spec_name, block_turns):
+    """The carve → scan → seeded-eval protocol in one process: every
+    conversation split into (conv, turn_idx // B) blocks, each evaluated
+    from its scanned seed, equals whole-conversation evaluation — covering
+    the TumblingSum/Max/Distinct partials, incl. the saturated distinct cap."""
+    from osprey_ray.pipelines import flagship
+    from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks, scan_seeds
+    from osprey_ray.stages.stateful import eval_released, sort_and_dedup
+    from osprey_ray.stages.stateless import split_rules
+    from osprey_ray.state.labels import LabelStore
+
+    clean, _ = small_data
+    spec = getattr(flagship, spec_name)()
+    rule_plans = split_rules(spec)
+    tbl = sort_and_dedup(compile_stateless(spec)(clean), {})
+    want, _ = eval_released(tbl, spec, rule_plans, {}, LabelStore(), {}, persist=False)
+    hot = frozenset(clean["conv_id"].to_pylist())
+    cold, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
+    assert cold.num_rows == 0 and len(held) > len(hot)
+    got = eval_seeded_blocks(held, scan_seeds(summaries, {}, spec), spec, rule_plans)
+    assert got.num_rows == want.num_rows
+    _cmp_tables(got, want)
+    if spec_name == "kitchen_sink_spec":
+        assert max(want["ToolsCapped"].to_pylist()) == 3  # the cap saturates
+
+
 def _label_fields_spec():
     """Spec exercising all three LabelEffect fields
     (engine/language_types/labels.py:35-42): a seed rule adds a delayed

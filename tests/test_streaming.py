@@ -447,58 +447,15 @@ def test_subfile_epoch_offsets(stream_data, tmp_path):
         assert [_norm(x) for x in got2[k]] == [_norm(x) for x in got[k]], f"column {k} differs"
 
 
-def test_streaming_salted_matches_unsalted(stream_data, tmp_path):
-    """Streaming hot-conv salting (label-free spec): block-parallel whale
-    evaluation inside shards is byte-identical to the serial path, across
-    epochs (carry state advances through the summary scan)."""
-    from osprey_ray.pipelines.flagship import flagship_sql_spec
-
-    segs, _, full = stream_data
-    spec = flagship_sql_spec()
-    ref = StreamingJob(spec, segs, str(tmp_path / "uns"), {}, num_shards=4, files_per_epoch=3)
-    ref.run(); ref.finalize()
-    want = _df(ref.results_table())
-
-    # tiny block size → every conversation salts, blocks split mid-epoch
-    job = StreamingJob(
-        spec, segs, str(tmp_path / "sal"), {}, num_shards=4, files_per_epoch=3,
-        salt_block_rows=40,
-    )
-    job.run(); job.finalize()
-    got = _df(job.results_table())
-    assert len(got) == len(want)
-    for k in want.columns:
-        assert [_norm(x) for x in got[k]] == [_norm(x) for x in want[k]], f"column {k} differs"
+def _hot_set(full, which: str) -> set:
+    """The 3 biggest conversations, or every conversation (each one salts,
+    and with an 8-turn block its blocks split mid-epoch)."""
+    counts = pd.Series(full["conv_id"].to_pylist()).value_counts()
+    return set(counts.index[:3] if which == "top3" else counts.index)
 
 
-def test_streaming_salted_kill_resume(stream_data, tmp_path):
-    """Salted streaming + crash: the scan-merged carry state snapshots and
-    restores like any other state; resumed output is bit-identical."""
-    from osprey_ray.pipelines.flagship import flagship_sql_spec
-
-    segs, _, _ = stream_data
-    spec = flagship_sql_spec()
-    ref = StreamingJob(
-        spec, segs, str(tmp_path / "sref"), {}, num_shards=4, files_per_epoch=2,
-        salt_block_rows=40,
-    )
-    ref.run(); ref.finalize()
-    want = _df(ref.results_table())
-
-    out = str(tmp_path / "scrash")
-    j1 = StreamingJob(spec, segs, out, {}, num_shards=4, files_per_epoch=2, salt_block_rows=40)
-    j1.run(stop_after_epoch=2)
-    del j1
-    j2 = StreamingJob(spec, segs, out, {}, num_shards=4, files_per_epoch=2, salt_block_rows=40)
-    j2.run(resume=True)
-    j2.finalize()
-    got = _df(j2.results_table())
-    assert len(got) == len(want)
-    for k in want.columns:
-        assert [_norm(x) for x in got[k]] == [_norm(x) for x in want[k]], f"column {k} differs"
-
-
-def test_hot_routing_matches_unrouted(stream_data, tmp_path):
+@pytest.mark.parametrize("which", ["top3", "every"])
+def test_hot_routing_matches_unrouted(stream_data, tmp_path, which):
     """Routed hot-conversation exchange (sub-key routing + driver-seeded
     block evaluation): byte-identical to whole-key routing, including the
     window-aggregate stream (hot windows close driver-side)."""
@@ -511,10 +468,8 @@ def test_hot_routing_matches_unrouted(stream_data, tmp_path):
     want = _df(ref.results_table())
     want_w = ref.window_stream_table()
 
-    # mark the 3 biggest conversations hot with a tiny block size so blocks
-    # split across shards and epochs
-    counts = pd.Series(full["conv_id"].to_pylist()).value_counts()
-    hot = set(counts.index[:3])
+    # a tiny block size so blocks split across shards and epochs
+    hot = _hot_set(full, which)
     job = StreamingJob(
         spec, segs, str(tmp_path / "hot"), {}, num_shards=4, files_per_epoch=3,
         hot_convs=hot, hot_block_turns=8,
@@ -561,15 +516,15 @@ def test_hot_routing_spreads_bytes(stream_data, tmp_path):
     assert sum(routed) == total and max(routed) < total
 
 
-def test_hot_routing_kill_resume(stream_data, tmp_path):
+@pytest.mark.parametrize("which", ["top3", "every"])
+def test_hot_routing_kill_resume(stream_data, tmp_path, which):
     """Driver-held hot carry state checkpoints with the manifests: a crash
     between epochs resumes bit-identically, including hot windows."""
     from osprey_ray.pipelines.flagship import flagship_sql_spec
 
     segs, _, full = stream_data
     spec = flagship_sql_spec()
-    counts = pd.Series(full["conv_id"].to_pylist()).value_counts()
-    hot = set(counts.index[:3])
+    hot = _hot_set(full, which)
     kw = dict(num_shards=4, files_per_epoch=2, hot_convs=hot, hot_block_turns=8)
 
     ref = StreamingJob(spec, segs, str(tmp_path / "ref"), {}, **kw)
@@ -1065,6 +1020,17 @@ def test_absence_hot_convs_rejected(stream_data, tmp_path):
     with pytest.raises(NotImplementedError, match="hot-conversation"):
         StreamingJob(
             _absence_spec(), segs, str(tmp_path / "x"), lmap,
+            num_shards=2, hot_convs={"conv-1"},
+        )
+
+
+def test_label_spec_hot_convs_rejected(stream_data, tmp_path):
+    """A label spec with a hot set raises instead of silently routing every
+    conversation whole (label feedback is sequential per conversation)."""
+    segs, lmap, _ = stream_data
+    with pytest.raises(ValueError, match="label"):
+        StreamingJob(
+            flagship_spec(), segs, str(tmp_path / "x"), lmap,
             num_shards=2, hot_convs={"conv-1"},
         )
 
