@@ -13,15 +13,16 @@ unsalted evaluation:
    each one's tiny *boundary summary* (:func:`summarize_block`): the
    sliding-window event tail, tumbling-bucket partials, session-boundary
    gap facts, the CEP first-match tail and the last KV write.  Exactly the
-   state ``eval_released(persist=True)`` carries, derived without
-   evaluating rules.
+   state ``eval_released`` reads from ``states`` and, with ``persist=True``,
+   writes back, derived without evaluating rules.
 2. **Scan** (:func:`scan_seeds`, driver, cheap) — per conversation,
    summaries merge in turn order (:func:`merge_state`) from the carry into
    the state each block starts from.  One tiny dict per block; associative
    per feature family (SURVEY §2.9 notes window merges are associative).
 3. **Seeded eval** (:func:`eval_seeded_blocks`, per partition) — every
-   held block evaluates through the SAME ``eval_released(persist=True)``
-   carry path streaming uses per epoch, seeded with its incoming state.
+   held block evaluates through the same ``eval_released`` call streaming
+   makes per epoch: its whole-array window scans read the block's incoming
+   state as their carry.
 
 Batch (:func:`run_batch_salted`, on ``run_batch_exchange``'s route and
 partition tasks) runs the protocol once over the whole input with an
@@ -193,7 +194,8 @@ def summarize_block(tbl: pa.Table, spec: RuleSpec) -> dict:
 
 def merge_state(prev: dict | None, summ: dict, spec: RuleSpec) -> dict:
     """Carry-state after (prefix → this block), in the exact format
-    ``eval_released(persist=True)`` reads/writes (stateful.py:336-446)."""
+    ``eval_released`` reads from and (``persist=True``) writes back into
+    ``states`` (see the ``stateful`` module docstring)."""
     p = prev or {}
     out: dict = {}
     for sf in spec.stateful:
@@ -315,9 +317,7 @@ def eval_seeded_blocks(held: list, seeds: dict, spec: RuleSpec, rule_plans) -> p
         states = {cid: dict(seeds.get((cid, b)) or {})}
         block = sort_and_dedup(block, states)
         if block.num_rows:
-            out, _ = eval_released(
-                block, spec, rule_plans, states, LabelStore(), {}, persist=True
-            )
+            out, _ = eval_released(block, spec, rule_plans, states, LabelStore(), {})
             outs.append(out)
     return pa.concat_tables(outs, promote_options="default") if outs else None
 

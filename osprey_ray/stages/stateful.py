@@ -3,13 +3,12 @@
 This is the engine's only stateful stage (SURVEY §7 step 5): input rows are
 hash-partitioned by ``conv_id`` and evaluated in strict
 ``(conv_id, turn_idx, ts)`` order within each partition.  Window math has
-two implementations sharing one semantics: a fully-global vectorized fast
-path for fresh batch runs (``persist=False`` — constant number of
-whole-array numpy ops, zero per-conversation Python) and a per-conversation
-loop that handles carried state for the streaming epochs.  The label
-subsystem — whose read-your-writes ordering is inherently sequential (a
-turn's LabelAdd is visible to later turns but not itself, mirroring
-write-after-classify in
+one implementation: whole-array segmented scans over every conversation at
+once, each seeded from the conversation's carried state (read in one
+gather, written back in one pass) — no window math runs per conversation.
+The label subsystem — whose read-your-writes ordering is inherently
+sequential (a turn's LabelAdd is visible to later turns but not itself,
+mirroring write-after-classify in
 /root/reference/osprey_worker/src/osprey/worker/sinks/sink/output_sink.py:156-350)
 — walks only mutation-candidate rows, external events and expiry points,
 reconstructing HasLabel columns vectorized from a change log.
@@ -25,9 +24,11 @@ State carried per conversation (``states[conv_id]``):
 
 - ``w:<name>``  — sorted int64 ts of counted events in a sliding window
   (the Redis-ZSET analogue, example_plugins/src/udfs/cache.py:161-207);
-- ``t:<name>``  — (current tumbling bucket, running count);
+- ``t:<name>``  — (current tumbling bucket, running count / sum / max);
+  TumblingDistinct adds the bucket's seen-set (None once saturated);
 - ``s:<name>``  — (last_ts, session_id, count_in_session);
-- ``q:<name>``  — sorted int32 turn_idx of CEP first-step matches;
+- ``q:<name>``  — sorted int64 turn_idx of CEP first-step matches;
+- ``k:<name>``  — (ts, value) of the last KvCache set;
 - ``last_turn`` — highest processed turn_idx (cross-epoch dedup guard);
 - ``lev``       — consumed prefix of the external label-event stream.
 """
@@ -97,6 +98,17 @@ def _conv_codes(tbl: pa.Table) -> tuple[np.ndarray, pa.Array]:
     return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64), enc.dictionary
 
 
+def _group_cids(dictionary: pa.Array, codes: np.ndarray, starts: np.ndarray) -> list:
+    """conv_id of each group, decoded in one dictionary pass."""
+    return dictionary.take(pa.array(codes[starts])).to_pylist()
+
+
+def _carried(states: dict, cids: list) -> list:
+    """The one per-conversation carry gather: each group's state dict, or
+    None when the conversation carries nothing."""
+    return [states.get(c) or None for c in cids]
+
+
 def sort_and_dedup(tbl: pa.Table, states: dict) -> pa.Table:
     """Order by (conv_id, turn_idx, ts) and exact-dedup on (conv_id,
     turn_idx) keep-first (SURVEY §2.8 — the at-least-once duplicate guard;
@@ -124,43 +136,30 @@ def sort_and_dedup(tbl: pa.Table, states: dict) -> pa.Table:
     keep[1:] = ~(same_conv & (turn[1:] == turn[:-1]))
     if states:
         # drop rows already processed in earlier epochs
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = ~same_conv
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        for s, e in zip(starts, ends):
-            st = states.get(dictionary[codes[s]].as_py())
-            if st and "last_turn" in st:
-                keep[s:e] &= turn[s:e] > st["last_turn"]
+        starts = np.flatnonzero(np.concatenate([[True], ~same_conv]))
+        carried = _carried(states, _group_cids(dictionary, codes, starts))
+        last = np.array(
+            [st.get("last_turn", NEG_INF) if st else NEG_INF for st in carried], dtype=np.int64
+        )
+        keep &= turn > np.repeat(last, np.diff(np.append(starts, n)))
     if keep.all():
         return tbl
     return tbl.filter(pa.array(keep))
 
 
-def _running_segment_count(flag: np.ndarray, new_seg: np.ndarray, carry: int) -> np.ndarray:
-    """Running count of ``flag`` within segments delimited by ``new_seg``
-    (True = segment starts at that row); ``carry`` seeds the first segment
-    when ``new_seg[0]`` is False."""
-    n = len(flag)
+def _running_segment_count(flag: np.ndarray, new_seg: np.ndarray, carry) -> np.ndarray:
+    """Running count (sum) of ``flag`` within segments delimited by
+    ``new_seg`` (True = segment starts at that row; ``new_seg[0]`` is True),
+    plus the per-row ``carry``."""
     cs = np.cumsum(flag.astype(np.int64))
-    seg_start = np.where(new_seg, np.arange(n), -1)
-    seg_start = np.maximum.accumulate(seg_start)
-    base = np.where(
-        seg_start >= 0,
-        cs[np.maximum(seg_start, 0)] - flag[np.maximum(seg_start, 0)],
-        0,
-    )
-    out = cs - base
-    out[seg_start < 0] += carry
-    return out
+    seg_start = np.maximum.accumulate(np.where(new_seg, np.arange(len(flag)), 0))
+    return cs - cs[seg_start] + flag[seg_start] + carry
 
 
-
-def _running_segment_max(vals: np.ndarray, new_seg: np.ndarray, carry: int) -> np.ndarray:
+def _running_segment_max(vals: np.ndarray, new_seg: np.ndarray, carry) -> np.ndarray:
     """Running max of non-negative int64 ``vals`` within segments delimited
-    by ``new_seg`` (True = segment starts at that row); ``carry`` seeds the
-    first segment when ``new_seg[0]`` is False.
+    by ``new_seg`` (True = segment starts at that row), floored by the
+    per-row ``carry``.
 
     Vectorized via the offset trick: add ``seg_id * (max(vals)+1)`` so a
     plain ``np.maximum.accumulate`` can never leak a value across a segment
@@ -180,119 +179,125 @@ def _running_segment_max(vals: np.ndarray, new_seg: np.ndarray, carry: int) -> n
         import pandas as pd
 
         out = pd.Series(v).groupby(seg).cummax().to_numpy()
-    if carry and not new_seg[0]:
-        first = seg == seg[0]
-        out[first] = np.maximum(out[first], carry)
-    return out
+    return np.maximum(out, carry)
 
 
-def _eval_windows_global(
-    spec: RuleSpec,
-    sf_pred: dict,
-    sf_vals: dict,
-    ts: np.ndarray,
-    turn: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    change: np.ndarray,
-    n: int,
-) -> None:
-    """Batch fast path: every window/session/sequence/KV feature computed in
-    a constant number of whole-array numpy ops — zero per-conversation
-    Python.  Sliding windows use composite offsets (each conversation's
-    timeline shifted into a disjoint range wider than the window) so ONE
-    global searchsorted respects conversation boundaries.  Only valid when
-    no conversation carries state from a previous epoch (fresh batch run —
-    the streaming path keeps the per-conversation carry loop)."""
+def _opening_carry(new_seg: np.ndarray, starts: np.ndarray, gidx: np.ndarray, seed) -> np.ndarray:
+    """Per-row carry: ``seed[g]`` on the rows of group g's opening segment,
+    0 elsewhere."""
+    seg = np.cumsum(new_seg)
+    return np.where(seg == seg[starts][gidx], seed[gidx], 0)
+
+
+# composite ranges start a new chunk past this many units, so a chunk spans
+# less than 2**61 + one group's width — inside int64 for any real timestamp
+_CHUNK = float(1 << 61)
+
+
+def _sliding(key, flag, gidx, starts, ends, bufs, w, side: str, incl_self: bool):
+    """Sliding-window event counts for every row in whole-array ops.
+
+    Events are the flagged rows, preceded in each group by its carried
+    buffer ``bufs[g]`` (sorted int64 keys, or None).  Each group's timeline
+    is shifted into its own composite range, ``w + 1`` wider than its span,
+    so one searchsorted respects group boundaries.  Far-apart groups would
+    wrap the int64 offsets, so groups run in chunks whose composite range
+    fits: offsets are differences of one wrapping uint64 cumsum, exact
+    inside a chunk.
+
+    ``side="right"`` counts events with key in (k - w, k] (sliding
+    windows), ``"left"`` in [k - w, k) (CEP within-turns).  Returns (per-row
+    counts, all events as original keys in group order, per-group end of
+    events, per-group start of the carry-out: the first event inside the
+    window of the group's last row)."""
     G = len(starts)
-    lens = ends - starts
-    gidx = np.repeat(np.arange(G), lens)
-    rep_starts = np.repeat(starts, lens)
-    conv_min = ts[starts]
-    span = ts[ends - 1] - conv_min
-    turn64 = turn.astype(np.int64)
+    ev, egid = key[flag], gidx[flag]
+    lo_g = np.minimum.reduceat(key, starts)
+    hi_g = np.maximum.reduceat(key, starts)
+    blen = np.zeros(G, dtype=np.int64)
+    if bufs is not None:
+        blen = np.array([0 if b is None else len(b) for b in bufs], dtype=np.int64)
+    if blen.any():
+        bev = np.concatenate([b for b in bufs if b is not None]).astype(np.int64)
+        bgid = np.repeat(np.arange(G), blen)
+        nz = blen > 0
+        bstarts = (np.cumsum(blen) - blen)[nz]
+        lo_g[nz] = np.minimum(lo_g[nz], np.minimum.reduceat(bev, bstarts))
+        hi_g[nz] = np.maximum(hi_g[nz], np.maximum.reduceat(bev, bstarts))
+        allg = np.concatenate([bgid, egid])
+        order = np.argsort(allg, kind="stable")  # buffer ahead of own rows
+        ev, egid = np.concatenate([bev, ev])[order], allg[order]
+    ev_end = np.cumsum(np.bincount(egid, minlength=G))
+    fl = flag.astype(np.int64)
+    added = np.cumsum(fl) + np.cumsum(blen)[gidx]
+    if not incl_self:
+        added -= fl
+    width = (hi_g - lo_g + w + 1).astype(np.uint64)
+    wf = width.astype(np.float64)
+    chunk = ((np.cumsum(wf) - wf) // _CHUNK).astype(np.int64)
+    cu = np.cumsum(width) - width
+    base = (cu - cu[np.searchsorted(chunk, chunk)]).astype(np.int64)
+    tp = key - lo_g[gidx] + base[gidx]
+    etp = ev - lo_g[egid] + base[egid]
+    lo = np.empty(len(key), dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(chunk)) + 1
+    for g0, g1 in zip(np.append(0, bounds), np.append(bounds, G)):
+        r0, r1 = starts[g0], ends[g1 - 1]
+        e0 = ev_end[g0 - 1] if g0 else 0
+        lo[r0:r1] = e0 + np.searchsorted(etp[e0 : ev_end[g1 - 1]], tp[r0:r1] - w, side=side)
+    return added - lo, ev, ev_end, lo[ends - 1]
 
-    for sf in spec.stateful:
-        if isinstance(sf, (IncrementWindow, WindowCount)):
-            if isinstance(sf, IncrementWindow):
-                w_us = np.int64(sf.window_seconds * 1e6)
-                f = sf_pred[sf.name]
-                cap = sf.max_events_cap
-                incl_self = True
-            else:
-                w_us = np.int64(sf.window_seconds * 1e6)
-                f = sf_pred[sf.source]
-                cap = next(
-                    x.max_events_cap
-                    for x in spec.stateful
-                    if isinstance(x, IncrementWindow) and x.name == sf.source
-                )
-                incl_self = False
-            base = np.zeros(G, dtype=np.int64)
-            if G > 1:
-                base[1:] = np.cumsum(span[:-1] + 2 * w_us + 2)
-            tp = ts - conv_min[gidx] + base[gidx]
-            flag_tp = tp[f]
-            fl = f.astype(np.int64)
-            added = np.cumsum(fl)
-            if not incl_self:
-                added = added - fl
-            lo = np.searchsorted(flag_tp, tp - w_us, side="right")
-            sf_vals[sf.name] = np.minimum(added - lo, cap)
-        elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)):
-            b_us = np.int64(sf.bucket_seconds * 1e6)
-            bucket = ts // b_us
-            new_seg = change.copy()
-            new_seg[1:] |= bucket[1:] != bucket[:-1]
-            if isinstance(sf, TumblingMax):
-                sf_vals[sf.name] = _running_segment_max(sf_pred[sf.name], new_seg, 0)
-            elif isinstance(sf, TumblingDistinct):
-                # first-occurrence flags precomputed for exactly this
-                # (conv, bucket) segmentation; running count, capped
-                sf_vals[sf.name] = np.minimum(
-                    _running_segment_count(
-                        sf_pred[sf.name + "__first"].astype(np.int64), new_seg, 0
-                    ),
-                    sf.max_distinct_cap,
-                )
-            else:
-                sf_vals[sf.name] = _running_segment_count(sf_pred[sf.name], new_seg, 0)
-        elif isinstance(sf, SessionWindow):
-            g_us = np.int64(sf.gap_seconds * 1e6)
-            prev = np.empty(n, dtype=np.int64)
-            prev[0] = ts[0]
-            prev[1:] = ts[:-1]
-            brk = (~change) & ((ts - prev) > g_us)
-            cs = np.cumsum(brk.astype(np.int64))
-            sf_vals[f"{sf.name}__id"] = cs - cs[rep_starts]
-            sf_vals[f"{sf.name}__count"] = _running_segment_count(
-                np.ones(n, dtype=np.int64), change | brk, 0
-            )
-        elif isinstance(sf, SequenceMatch):
-            a = sf_pred[sf.name]
-            b = sf_pred[sf.name + "_b"]
-            span_t = turn64[ends - 1] - turn64[starts]
-            base = np.zeros(G, dtype=np.int64)
-            if G > 1:
-                base[1:] = np.cumsum(span_t[:-1] + 2 * sf.within_turns + 2)
-            tp = turn64 - turn64[starts][gidx] + base[gidx]
-            all_first = tp[a]
-            added_excl = np.cumsum(a.astype(np.int64)) - a.astype(np.int64)
-            lo = np.searchsorted(all_first, tp - sf.within_turns, side="left")
-            sf_vals[sf.name] = b & (added_excl > lo)
-        elif isinstance(sf, KvCache):
-            setm = sf_pred[sf.name]
-            set_pos = np.flatnonzero(setm)
-            if len(set_pos):
-                last = np.searchsorted(set_pos, np.arange(n), side="left") - 1
-                src = np.where(last >= 0, set_pos[np.maximum(last, 0)], -1)
-                valid = (src >= 0) & (src >= rep_starts)  # same conversation
-                if sf.ttl_seconds is not None:
-                    ttl_us = np.int64(sf.ttl_seconds * 1e6)
-                    set_ts = np.where(valid, ts[np.maximum(src, 0)], 0)
-                    valid &= (set_ts + ttl_us) > ts
-                sf_vals[sf.name] = np.where(valid, src, -1)
-        # HasLabel handled by the label pass
+
+def _tumbling_distinct(col, sf, bucket, new_seg, starts, ends, gidx, cont, carry, carry_in, out):
+    """Running distinct count of string ``col`` per (conversation, bucket)
+    segment, capped.  ``cont[g]`` marks a group whose carried bucket
+    continues: ``carry`` holds its carried count on the opening segment and
+    values in its carried seen-set (``carry_in[g][2]``, None once saturated)
+    do not count again there.  Appends the carry-out to ``out`` unless it is
+    None: the last segment's values, plus the seen-set when the opening
+    segment is also the last; None once saturated."""
+    import pandas as pd
+
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    enc = col if pa.types.is_dictionary(col.type) else pc.dictionary_encode(col)
+    codes = pc.fill_null(enc.indices.cast(pa.int64()), -1).to_numpy(zero_copy_only=False)
+    dstrs = enc.dictionary.to_pylist()
+    # first occurrence of each value within its segment: hash duplicated on
+    # a composite seg*K+code key, O(n)
+    seg = np.cumsum(new_seg) - 1
+    K = np.int64(len(dstrs) + 2)
+    first = ~pd.Series(seg * K + codes).duplicated().to_numpy() & (codes >= 0)
+    counted = first
+    if carry_in is not None:
+        lookup = {s: i for i, s in enumerate(dstrs)}
+        seen_keys = [
+            g * int(K) + lookup[v]
+            for g in np.flatnonzero(cont).tolist()
+            for v in (carry_in[g][2] or ())
+            if v in lookup
+        ]
+        if seen_keys:
+            opening = seg == seg[starts][gidx]
+            counted = first & ~(opening & np.isin(gidx * K + codes, seen_keys))
+    cap = sf.max_distinct_cap
+    cnt = np.minimum(_running_segment_count(counted, new_seg, carry), cap)
+    if out is not None:
+        final = cnt[ends - 1].tolist()
+        last_seg = seg[ends - 1]
+        rows = np.flatnonzero(first & (seg == last_seg[gidx]))
+        cut = np.searchsorted(gidx[rows], np.arange(len(starts) + 1)).tolist()
+        row_codes = codes[rows].tolist()
+        only = (last_seg == seg[starts]) & cont  # opening segment is the last
+        vals = []
+        for g, b in enumerate(bucket[ends - 1].tolist()):
+            seen = None
+            if final[g] < cap:
+                seen = frozenset(dstrs[c] for c in row_codes[cut[g] : cut[g + 1]])
+                if only[g] and carry_in[g][2]:
+                    seen = frozenset(seen | carry_in[g][2])
+            vals.append((b, final[g], seen))
+        out.append((f"t:{sf.name}", vals))
+    return cnt
 
 
 def eval_released(
@@ -303,20 +308,19 @@ def eval_released(
     label_store: LabelStore,
     label_events: dict[str, list] | None = None,
     persist: bool = True,
-    global_windows: bool = False,
 ) -> tuple[pa.Table, list[tuple]]:
     """Evaluate ordered, deduped rows; mutates ``states``/``label_store``.
 
-    ``persist=False`` (batch mode, fresh state): window math runs on the
-    fully-global vectorized fast path and per-conversation carry state is
-    never written — the streaming path uses ``persist=True``.
+    Window math reads each conversation's carry from ``states`` (empty for a
+    fresh batch run) and runs as whole-array scans.  ``persist`` writes the
+    advanced carry back into ``states``: streaming shards and salted blocks
+    keep it (the default), batch callers discard it (``persist=False``).
 
     Returns (execution-results table, applied label mutations
     [(conv_id, ts_us, label, status)]).
     """
     label_events = label_events or {}
     n = tbl.num_rows
-    sf_names = spec.stateful_names()
     hl_feats = [s for s in spec.stateful if isinstance(s, HasLabel)]
     out_schema_cols = _output_columns(tbl, spec)
     if n == 0:
@@ -331,272 +335,175 @@ def eval_released(
     change[1:] = codes[1:] != codes[:-1]
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
-    # conversation ids only where group-level state needs the string key
-    group_cids = [dictionary[codes[s]].as_py() for s in starts]
+    G = len(starts)
+    gidx = np.repeat(np.arange(G), ends - starts)
+    group_cids = _group_cids(dictionary, codes, starts)
+    carried = _carried(states, group_cids) if states else None
 
-    # ---- vectorized stateful features (per conversation slice) ----------
+    def seed(key: str) -> list | None:
+        """Per-group carried value of one state key (None = none)."""
+        if carried is None:
+            return None
+        return [c.get(key) if c else None for c in carried]
+
+    def seed_arrays(key: str, fields: int) -> tuple:
+        """(carried values | None, has carry, field 0, ..., field
+        fields-1) per group; fields are 0 where nothing is carried."""
+        vals = seed(key)
+        if vals is None:
+            return (None, np.zeros(G, dtype=bool)) + (np.zeros(G, dtype=np.int64),) * fields
+        has = np.array([v is not None for v in vals], dtype=bool)
+        return (vals, has) + tuple(
+            np.array([v[i] if v is not None else 0 for v in vals], dtype=np.int64)
+            for i in range(fields)
+        )
+
     sf_vals: dict[str, np.ndarray] = {}
     for sf in spec.stateful:
-        if isinstance(sf, SessionWindow):
-            sf_vals[f"{sf.name}__id"] = np.zeros(n, dtype=np.int64)
-            sf_vals[f"{sf.name}__count"] = np.zeros(n, dtype=np.int64)
-        elif isinstance(
-            sf, (IncrementWindow, TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)
-        ):
-            sf_vals[sf.name] = np.zeros(n, dtype=np.int64)
-        elif isinstance(sf, SequenceMatch):
-            sf_vals[sf.name] = np.zeros(n, dtype=bool)
-        elif isinstance(sf, WindowCount):
-            sf_vals[sf.name] = np.zeros(n, dtype=np.int64)
-        elif isinstance(sf, KvCache):
-            # index into this batch's value column (-1 = null/carried)
-            sf_vals[sf.name] = np.full(n, -1, dtype=np.int64)
-        elif isinstance(sf, HasLabel):
+        if isinstance(sf, HasLabel):
             default = sf.status == "removed" and sf.manual != "yes"
             sf_vals[sf.name] = np.full(n, default, dtype=bool)
 
-    sf_pred: dict[str, np.ndarray] = {}
-    sf_dict: dict[str, list] = {}
-    kv_carried: dict[str, list[tuple[int, object]]] = {}
+    def flags(col: str) -> np.ndarray:
+        return pc.fill_null(tbl[col], False).to_numpy(zero_copy_only=False)
+
+    # ---- window features: whole-array scans seeded from the carry --------
+    carry_out: list[tuple[str, list]] = []  # (state key, per-group value | None)
+    kv_arrays: dict[str, pa.Array] = {}
     for sf in spec.stateful:
-        if isinstance(sf, TumblingDistinct):
-            # dictionary-encode the string value column once per batch:
-            # codes (int64, -1 = null) + the dictionary strings for carry
-            # sets, plus a vectorized within-(conv,bucket)-segment
-            # first-occurrence flag (hash-based pandas duplicated on a
-            # composite seg*K+code key, O(n)) — the carry walk only has to
-            # ADJUST the first segment of each conversation slice
-            import pandas as pd
-
-            col0 = tbl[f"__sf_{sf.name}"].combine_chunks()
-            enc = col0 if pa.types.is_dictionary(col0.type) else pc.dictionary_encode(col0)
-            codes_d = pc.fill_null(enc.indices.cast(pa.int64()), -1).to_numpy(
-                zero_copy_only=False
+        if isinstance(sf, (IncrementWindow, WindowCount)):
+            # WindowCount is declared before its source window (validated),
+            # so it reads the same carried buffer: prior turns only
+            src = sf.name if isinstance(sf, IncrementWindow) else sf.source
+            cap = next(
+                x.max_events_cap
+                for x in spec.stateful
+                if isinstance(x, IncrementWindow) and x.name == src
             )
-            sf_pred[sf.name] = codes_d
-            sf_dict[sf.name] = enc.dictionary.to_pylist()
-            b_us = np.int64(sf.bucket_seconds * 1e6)
-            bkt = ts // b_us
-            nsg = change.copy()
-            nsg[1:] |= bkt[1:] != bkt[:-1]
-            seg = np.cumsum(nsg.astype(np.int64)) - 1
-            K = np.int64(len(sf_dict[sf.name]) + 2)
-            dup = pd.Series(seg * K + codes_d).duplicated().to_numpy()
-            sf_pred[sf.name + "__first"] = (~dup) & (codes_d >= 0)
-        elif isinstance(sf, (TumblingSum, TumblingMax)):
-            # int64 weights (stage 1 already clamped nulls/negatives to 0)
-            sf_pred[sf.name] = (
-                pc.fill_null(tbl[f"__sf_{sf.name}"], 0)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
+            cnt, ev, ev_end, kf = _sliding(
+                ts, flags(f"__sf_{src}"), gidx, starts, ends, seed(f"w:{src}"),
+                np.int64(sf.window_seconds * 1e6), "right", src == sf.name,
             )
-        elif isinstance(sf, (IncrementWindow, TumblingCount, KvCache)):
-            sf_pred[sf.name] = (
-                pc.fill_null(tbl[f"__sf_{sf.name}"], False).to_numpy(zero_copy_only=False)
-            )
-            if isinstance(sf, KvCache):
-                kv_carried[sf.name] = []
-        elif isinstance(sf, SequenceMatch):
-            sf_pred[sf.name] = (
-                pc.fill_null(tbl[f"__sf_{sf.name}"], False).to_numpy(zero_copy_only=False)
-            )
-            sf_pred[sf.name + "_b"] = (
-                pc.fill_null(tbl[f"__sf_{sf.name}_b"], False).to_numpy(zero_copy_only=False)
-            )
-
-    # The global path eliminates per-conversation Python but materializes
-    # large composite-offset intermediates; measured on this box it wins at
-    # low parallelism and loses ~25% at 16+ cores (memory-bandwidth-bound),
-    # so the cache-friendly per-conversation path is the default and the
-    # global one stays available (and parity-tested) via global_windows.
-    fast = global_windows and (not persist) and not states
-    if fast:
-        _eval_windows_global(spec, sf_pred, sf_vals, ts, turn, starts, ends, change, n)
-    for gi, (s, e) in enumerate(zip(starts, ends) if not fast else ()):
-        cid = group_cids[gi]
-        st = states.setdefault(cid, {})
-        t = ts[s:e]
-        for sf in spec.stateful:
-            if isinstance(sf, IncrementWindow):
-                w_us = np.int64(sf.window_seconds * 1e6)
-                flag = sf_pred[sf.name][s:e]
-                buf = st.get(f"w:{sf.name}")
-                if buf is None:
-                    buf = np.empty(0, dtype=np.int64)
-                all_flag = np.concatenate([buf, t[flag]])
-                # events added up to each row: cumsum includes self when
-                # flagged; for unflagged rows it equals the count before them
-                added = len(buf) + np.cumsum(flag.astype(np.int64))
-                lo = np.searchsorted(all_flag, t - w_us, side="right")
-                cnt = added - lo
-                sf_vals[sf.name][s:e] = np.minimum(cnt, sf.max_events_cap)
+            sf_vals[sf.name] = np.minimum(cnt, cap)
+            if persist and src == sf.name:
                 # evict: outside the window AND cap stored events at the
                 # newest max_events_cap (the reference's zremrangebyrank
                 # bound, cache.py:199-201) so hot keys can't grow state
-                keep_from = np.searchsorted(all_flag, t[-1] - w_us, side="right")
-                st[f"w:{sf.name}"] = all_flag[keep_from:][-sf.max_events_cap :]
-            elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax)):
-                b_us = np.int64(sf.bucket_seconds * 1e6)
-                flag = sf_pred[sf.name][s:e]
-                bucket = t // b_us
-                last_bucket, last_count = st.get(f"t:{sf.name}", (None, 0))
-                new_seg = np.empty(len(t), dtype=bool)
-                new_seg[0] = last_bucket is None or bucket[0] != last_bucket
-                new_seg[1:] = bucket[1:] != bucket[:-1]
-                if isinstance(sf, TumblingMax):
-                    cnt = _running_segment_max(flag, new_seg, last_count)
+                carry_out.append((f"w:{src}", [
+                    ev[max(a, e - cap) : e].copy() for a, e in zip(kf.tolist(), ev_end.tolist())
+                ]))
+        elif isinstance(sf, SequenceMatch):
+            cnt, ev, ev_end, kf = _sliding(
+                turn.astype(np.int64), flags(f"__sf_{sf.name}"), gidx, starts, ends, seed(f"q:{sf.name}"),
+                sf.within_turns, "left", False,
+            )
+            sf_vals[sf.name] = flags(f"__sf_{sf.name}_b") & (cnt > 0)
+            if persist:
+                carry_out.append((f"q:{sf.name}", [
+                    ev[a:e].copy() for a, e in zip(kf.tolist(), ev_end.tolist())
+                ]))
+        elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)):
+            bucket = ts // np.int64(sf.bucket_seconds * 1e6)
+            new_seg = change.copy()
+            new_seg[1:] |= bucket[1:] != bucket[:-1]
+            carry_in, has, c_bucket, c_count = seed_arrays(f"t:{sf.name}", 2)
+            cont = has & (c_bucket == bucket[starts])  # carried bucket continues
+            carry = _opening_carry(new_seg, starts, gidx, np.where(cont, c_count, 0))
+            if isinstance(sf, TumblingDistinct):
+                cnt = _tumbling_distinct(
+                    tbl[f"__sf_{sf.name}"], sf, bucket, new_seg, starts, ends, gidx,
+                    cont, carry, carry_in, carry_out if persist else None,
+                )
+            else:
+                if isinstance(sf, TumblingCount):
+                    vals, run = flags(f"__sf_{sf.name}"), _running_segment_count
                 else:
-                    cnt = _running_segment_count(flag, new_seg, last_count)
-                sf_vals[sf.name][s:e] = cnt
-                st[f"t:{sf.name}"] = (bucket[-1], int(cnt[-1]))
-            elif isinstance(sf, TumblingDistinct):
-                b_us = np.int64(sf.bucket_seconds * 1e6)
-                codes_sl = sf_pred[sf.name][s:e]
-                first = sf_pred[sf.name + "__first"][s:e]
-                bucket = t // b_us
-                carry = st.get(f"t:{sf.name}")
-                last_bucket, last_count, seen = (
-                    carry if carry is not None else (None, 0, frozenset())
-                )
-                new_seg = np.empty(len(t), dtype=bool)
-                new_seg[0] = last_bucket is None or bucket[0] != last_bucket
-                new_seg[1:] = bucket[1:] != bucket[:-1]
-                cap = sf.max_distinct_cap
-                cont = not new_seg[0]
-                if cont and seen:
-                    # the carried bucket continues with an exact seen-set:
-                    # unmark first-flags already in it (bounded by the
-                    # distinct values of ONE bucket's opening segment)
-                    first = first.copy()
-                    dstrs = sf_dict[sf.name]
-                    seg_brk = np.flatnonzero(new_seg[1:])
-                    seg_end = int(seg_brk[0]) + 1 if len(seg_brk) else len(t)
-                    for i in np.flatnonzero(first[:seg_end]):
-                        if dstrs[codes_sl[i]] in seen:
-                            first[i] = False
-                cnt = np.minimum(
-                    _running_segment_count(
-                        first.astype(np.int64), new_seg, last_count if cont else 0
-                    ),
-                    cap,
-                )
-                sf_vals[sf.name][s:e] = cnt
-                final_cnt = int(cnt[-1])
-                if final_cnt >= cap:
-                    new_seen = None  # saturated: count pinned, set dropped
-                else:
-                    nz = np.flatnonzero(new_seg)
-                    ls = int(nz[-1]) if len(nz) else 0
-                    cs = codes_sl[ls:]
-                    u = np.unique(cs[cs >= 0])
-                    dstrs = sf_dict[sf.name]
-                    new_seen = frozenset(dstrs[int(c)] for c in u)
-                    if ls == 0 and cont and seen:
-                        new_seen = frozenset(new_seen | seen)
-                st[f"t:{sf.name}"] = (int(bucket[-1]), final_cnt, new_seen)
-            elif isinstance(sf, SessionWindow):
-                g_us = np.int64(sf.gap_seconds * 1e6)
-                last_ts, sid0, scnt0 = st.get(f"s:{sf.name}", (None, 0, 0))
-                prev = np.empty(len(t), dtype=np.int64)
-                prev[0] = last_ts if last_ts is not None else t[0]
-                prev[1:] = t[:-1]
-                new_seg = (t - prev) > g_us
-                if last_ts is None:
-                    new_seg[0] = False
-                sid = sid0 + np.cumsum(new_seg.astype(np.int64))
-                cnt = _running_segment_count(
-                    np.ones(len(t), dtype=np.int64), new_seg, scnt0
-                )
-                sf_vals[f"{sf.name}__id"][s:e] = sid
-                sf_vals[f"{sf.name}__count"][s:e] = cnt
-                st[f"s:{sf.name}"] = (int(t[-1]), int(sid[-1]), int(cnt[-1]))
-            elif isinstance(sf, WindowCount):
-                # declared before its source window (validated) → the source
-                # buffer still reflects prior turns only
-                w_us = np.int64(sf.window_seconds * 1e6)
-                flag = sf_pred[sf.source][s:e]
-                buf = st.get(f"w:{sf.source}")
-                if buf is None:
-                    buf = np.empty(0, dtype=np.int64)
-                all_flag = np.concatenate([buf, t[flag]])
-                fl = flag.astype(np.int64)
-                added_excl = len(buf) + np.cumsum(fl) - fl
-                lo = np.searchsorted(all_flag, t - w_us, side="right")
-                src_cap = next(
-                    x.max_events_cap
-                    for x in spec.stateful
-                    if isinstance(x, IncrementWindow) and x.name == sf.source
-                )
-                sf_vals[sf.name][s:e] = np.minimum(added_excl - lo, src_cap)
-            elif isinstance(sf, KvCache):
-                setm = sf_pred[sf.name][s:e]
-                m_len = e - s
-                set_pos = np.flatnonzero(setm)
-                last = np.searchsorted(set_pos, np.arange(m_len), side="left") - 1
-                if len(set_pos):
-                    src = np.where(last >= 0, set_pos[np.maximum(last, 0)], -1)
-                else:
-                    src = np.full(m_len, -1, dtype=np.int64)
-                valid = src >= 0
-                if sf.ttl_seconds is not None:
-                    ttl_us = np.int64(sf.ttl_seconds * 1e6)
-                    set_ts = np.where(valid, t[np.maximum(src, 0)], 0)
-                    valid &= (set_ts + ttl_us) > t
-                sf_vals[sf.name][s:e] = np.where(valid, src + s, -1)
-                carried = st.get(f"k:{sf.name}")
-                if carried is not None:
-                    cmask = last < 0
-                    if sf.ttl_seconds is not None:
-                        cmask &= (carried[0] + np.int64(sf.ttl_seconds * 1e6)) > t
-                    for r in np.flatnonzero(cmask):
-                        kv_carried[sf.name].append((s + int(r), carried[1]))
-                if len(set_pos):
-                    vcol = tbl[f"__sfv_{sf.name}"]
-                    if isinstance(vcol, pa.ChunkedArray):
-                        vcol = vcol.combine_chunks()
-                    j = int(set_pos[-1])
-                    st[f"k:{sf.name}"] = (int(t[j]), vcol[s + j].as_py())
-            elif isinstance(sf, SequenceMatch):
-                a = sf_pred[sf.name][s:e]
-                b = sf_pred[sf.name + "_b"][s:e]
-                tr = turn[s:e]
-                buf = st.get(f"q:{sf.name}")
-                if buf is None:
-                    buf = np.empty(0, dtype=np.int64)
-                all_first = np.concatenate([buf, tr[a]])
-                added_excl = len(buf) + np.cumsum(a.astype(np.int64)) - a.astype(np.int64)
-                lo = np.searchsorted(all_first, tr - sf.within_turns, side="left")
-                sf_vals[sf.name][s:e] = b & (added_excl > lo)
-                keep_from = np.searchsorted(
-                    all_first, tr[-1] - sf.within_turns, side="left"
-                )
-                st[f"q:{sf.name}"] = all_first[keep_from:]
-        st["last_turn"] = int(turn[e - 1])
-
-    # ---- materialize KvCache value columns (index → value + carried) ----
-    kv_arrays: dict[str, pa.Array] = {}
-    for sf in spec.stateful:
-        if isinstance(sf, KvCache):
+                    # int64 weights (stage 1 already clamped nulls/negatives to 0)
+                    vals = (
+                        pc.fill_null(tbl[f"__sf_{sf.name}"], 0)
+                        .to_numpy(zero_copy_only=False)
+                        .astype(np.int64)
+                    )
+                    run = _running_segment_max if isinstance(sf, TumblingMax) else _running_segment_count
+                cnt = run(vals, new_seg, carry)
+                if persist:
+                    carry_out.append((f"t:{sf.name}", list(zip(bucket[ends - 1], cnt[ends - 1].tolist()))))
+            sf_vals[sf.name] = cnt
+        elif isinstance(sf, SessionWindow):
+            g_us = np.int64(sf.gap_seconds * 1e6)
+            _, has, last_ts, sid0, cnt0 = seed_arrays(f"s:{sf.name}", 3)
+            prev = np.empty(n, dtype=np.int64)
+            prev[1:] = ts[:-1]
+            prev[starts] = np.where(has, last_ts, ts[starts])
+            brk = (ts - prev) > g_us
+            brk[starts] &= has
+            cs = np.cumsum(brk)
+            sid = sid0[gidx] + cs - (cs[starts] - brk[starts])[gidx]
+            new_seg = change | brk
+            cnt = _running_segment_count(
+                np.ones(n, dtype=np.int64), new_seg,
+                _opening_carry(new_seg, starts, gidx, np.where(brk[starts], 0, cnt0)),
+            )
+            sf_vals[f"{sf.name}__id"] = sid
+            sf_vals[f"{sf.name}__count"] = cnt
+            if persist:
+                carry_out.append((f"s:{sf.name}", list(zip(
+                    ts[ends - 1].tolist(), sid[ends - 1].tolist(), cnt[ends - 1].tolist()
+                ))))
+        elif isinstance(sf, KvCache):
+            # per row: the conversation's last set strictly before it (in
+            # this batch's value column), else the carried value; TTL-bound
             vcol = tbl[f"__sfv_{sf.name}"]
             if isinstance(vcol, pa.ChunkedArray):
                 vcol = vcol.combine_chunks()
-            idx = sf_vals[sf.name]
-            take_idx = pa.array(np.where(idx >= 0, idx, 0), pa.int64())
+            set_pos = np.flatnonzero(flags(f"__sf_{sf.name}"))
+            src = np.full(n, -1, dtype=np.int64)
+            if len(set_pos):
+                last = np.searchsorted(set_pos, np.arange(n), side="left") - 1
+                src = np.where(last >= 0, set_pos[np.maximum(last, 0)], -1)
+            own = src >= starts[gidx]
+            valid = own.copy()
+            ttl_us = None if sf.ttl_seconds is None else np.int64(sf.ttl_seconds * 1e6)
+            if ttl_us is not None:
+                valid &= (ts[np.maximum(src, 0)] + ttl_us) > ts
             vals = pc.if_else(
-                pa.array(idx >= 0), vcol.take(take_idx), pa.nulls(n, vcol.type)
+                pa.array(valid), vcol.take(pa.array(np.where(valid, src, 0))), pa.nulls(n, vcol.type)
             )
-            carried = kv_carried.get(sf.name)
-            if carried:
-                py = vals.to_pylist()
-                for r, v in carried:
-                    py[r] = v
-                vals = pa.array(py, vcol.type)
+            kv, has, c_ts = seed_arrays(f"k:{sf.name}", 1)
+            if has.any():
+                cmask = has[gidx] & ~own
+                if ttl_us is not None:
+                    cmask &= (c_ts[gidx] + ttl_us) > ts
+                slot = np.cumsum(has) - 1  # group → position among carried
+                carried_vals = pa.array([v[1] for v in kv if v is not None], vcol.type)
+                vals = pc.if_else(
+                    pa.array(cmask), carried_vals.take(pa.array(np.where(cmask, slot[gidx], 0))), vals
+                )
             kv_arrays[sf.name] = vals
+            if persist:
+                j = set_pos[np.maximum(np.searchsorted(set_pos, ends) - 1, 0)] if len(set_pos) else ends
+                wrote = (j >= starts) & (j < ends)
+                set_vals = vcol.take(pa.array(np.where(wrote, j, 0))).to_pylist()
+                carry_out.append((f"k:{sf.name}", [
+                    (int(ts[jj]), v) if w else None
+                    for jj, v, w in zip(j.tolist(), set_vals, wrote.tolist())
+                ]))
+        # HasLabel handled by the label pass
+
+    if persist:
+        last_turns = turn[ends - 1].tolist()
+        for gi, cid in enumerate(group_cids):
+            st = states.setdefault(cid, {})
+            for key, vals in carry_out:
+                if vals[gi] is not None:
+                    st[key] = vals[gi]
+            st["last_turn"] = last_turns[gi]
 
     # ---- augmented table + non-label rule values ------------------------
     aug_cols = {name: tbl[name] for name in tbl.column_names}
     for name, arr in sf_vals.items():
-        aug_cols[name] = kv_arrays[name] if name in kv_arrays else pa.array(arr)
+        aug_cols[name] = pa.array(arr)
+    aug_cols.update(kv_arrays)
     aug = pa.table(aug_cols)
     ctx = EvalContext(aug)
 

@@ -4,6 +4,7 @@ under stable (conv_id, turn_idx) ordering (SURVEY §5, FIXTURES.md F3)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from osprey_ray.datagen import generate_label_events, generate_transcripts
@@ -154,24 +155,104 @@ def test_exchange_write_dir_layout(small_data, ray_session, tmp_path):
     assert [list(x) for x in a["__verdicts"]] == [list(x) for x in b["__verdicts"]]
 
 
-def test_global_windows_path_parity(small_data):
-    """The optional fully-global vectorized window path produces output
-    byte-identical to the per-conversation path (both specs)."""
+def _assert_states_equal(a, b, path="states"):
+    """Deep equality of carried state, value types included (int vs
+    np.int64, int64 buffer arrays, frozenset vs None)."""
+    assert type(a) is type(b), f"{path}: {type(a).__name__} != {type(b).__name__}"
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), f"{path}: keys {sorted(a)} != {sorted(b)}"
+        for k in a:
+            _assert_states_equal(a[k], b[k], f"{path}[{k!r}]")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), f"{path}: length {len(a)} != {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_states_equal(x, y, f"{path}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"{path}: {a!r} != {b!r}"
+    else:
+        assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+@pytest.mark.parametrize("k", [2, 7, 40])
+@pytest.mark.parametrize("spec_name", ["flagship_spec", "flagship_sql_spec", "kitchen_sink_spec"])
+def test_epoch_split_matches_one_shot(small_data, spec_name, k):
+    """Carried state is exact across epoch cuts: the rows cut in (ts,
+    conv_id, turn_idx) order into k epochs, each evaluated from the state
+    the previous one left, equal one-shot evaluation column by column and
+    leave the same final ``states`` (types included)."""
+    from osprey_ray.pipelines import flagship
     from osprey_ray.stages.stateless import split_rules
     from osprey_ray.stages.stateful import eval_released, sort_and_dedup
     from osprey_ray.state.labels import LabelStore
-    from osprey_ray.pipelines.flagship import kitchen_sink_spec
 
     clean, lmap = small_data
-    for spec in (flagship_spec(), kitchen_sink_spec()):
-        t1 = compile_stateless(spec)(clean)
-        rp = split_rules(spec)
-        t_sorted = sort_and_dedup(t1, {})
-        a, _ = eval_released(t_sorted, spec, rp, {}, LabelStore(), lmap, persist=False)
-        b, _ = eval_released(
-            t_sorted, spec, rp, {}, LabelStore(), lmap, persist=False, global_windows=True
+    spec = getattr(flagship, spec_name)()
+    lev = lmap if spec_name == "flagship_spec" else {}
+    rp = split_rules(spec)
+    t1 = compile_stateless(spec)(clean)
+
+    one_states: dict = {}
+    want, _ = eval_released(
+        sort_and_dedup(t1, one_states), spec, rp, one_states, LabelStore(), lev
+    )
+
+    arrival = t1.take(
+        pc.sort_indices(
+            t1,
+            sort_keys=[("ts", "ascending"), ("conv_id", "ascending"), ("turn_idx", "ascending")],
         )
-        assert a.equals(b)
+    )
+    states: dict = {}
+    store = LabelStore()
+    outs = []
+    cuts = np.linspace(0, arrival.num_rows, k + 1).astype(int)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        epoch = sort_and_dedup(arrival.slice(lo, hi - lo), states)
+        if epoch.num_rows:
+            out, _ = eval_released(epoch, spec, rp, states, store, lev)
+            outs.append(out)
+    got = pa.concat_tables(outs)
+    assert got.num_rows == want.num_rows
+    _cmp_tables(got, want)
+    _assert_states_equal(states, one_states)
+
+
+def test_sliding_window_far_future_no_overflow():
+    """Sliding windows over conversations whose summed time spans exceed
+    int64 (each one turn at 1 s and four turns near year 8940) still count
+    exactly: 1..4 per conversation, as the oracle says."""
+    import datetime as dt
+
+    from osprey_ray.expr import col, lit
+    from osprey_ray.rules import IncrementWindow, Rule, RuleSpec
+
+    far = int((dt.datetime(8940, 1, 1) - dt.datetime(1970, 1, 1)).total_seconds() * 1e6)
+    n_conv = 60
+    conv, turn, ts = [], [], []
+    for c in range(n_conv):
+        stamps = [1_000_000] + [far + c * 1_000_000 + j * 10_000_000 for j in range(4)]
+        conv += [f"c{c:03d}"] * 5
+        turn += list(range(5))
+        ts += stamps
+    tbl = pa.table(
+        {
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(turn, pa.int32()),
+            "role": pa.array(["user"] * len(conv), pa.string()),
+            "text": pa.array(["x"] * len(conv), pa.large_string()),
+            "tool": pa.array([None] * len(conv), pa.string()),
+            "ts": pa.array(ts, pa.timestamp("us")),
+        }
+    )
+    spec = RuleSpec(
+        stateful=[IncrementWindow("W", when=lit(True), window_seconds=300)],
+        rules=[Rule("RuleBurst", [col("W") >= 4], "4+ turns in 5 minutes")],
+    )
+    out = StatefulPartitionEval(spec, {})(compile_stateless(spec)(tbl))
+    out = out.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    want = [r["W"] for r in oracle_results(tbl, spec, {})]
+    assert want == [1, 1, 2, 3, 4] * n_conv
+    assert out["W"].to_pylist() == want
 
 
 def test_window_cap_parity(small_data):
