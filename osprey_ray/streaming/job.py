@@ -54,6 +54,10 @@ import ray
 from osprey_ray.rules import RuleSpec
 from osprey_ray.stages.salted import check_hot_routing, scan_seeds
 from osprey_ray.stages.stateless import StatelessStage, compile_stateless
+from osprey_ray.state.carry import (
+    decode_carry, encode_carry, from_ipc, ipc_schema, read_checkpoint, to_ipc,
+    write_checkpoint,
+)
 from osprey_ray.streaming.shard import StateShard
 from osprey_ray.streaming.source import SegmentLogStream
 
@@ -567,11 +571,8 @@ class StreamingJob:
                     watermark = int(snap_manifest["watermark"])
                     hs = snap_manifest.get("hot_state")
                     if hs:
-                        import pickle
-
-                        with open(hs, "rb") as f:
-                            payload = pickle.load(f)
-                        self.hot_states = payload["hot_states"]
+                        payload = read_checkpoint(hs)
+                        self.hot_states = decode_carry(from_ipc(payload["carry"]))
                         self.hot_open_windows = payload["hot_open_windows"]
                     elif self.hot_convs:
                         self.hot_states, self.hot_open_windows = {}, {}
@@ -698,6 +699,10 @@ class StreamingJob:
             "pending_spilled_rows": sum(s.get("pending_spilled_rows", 0) for s in stats),
             "wall_s": round(time.perf_counter() - t0, 4),
             "recovery": recovery,
+            # checkpoint cost of the epochs that snapshot: bytes summed and
+            # seconds maxed over shards (the slowest shard gates the epoch)
+            "snapshot_bytes": sum(s["bytes"] for s in snapshots) if snapshots else None,
+            "snapshot_s": round(max(s["s"] for s in snapshots), 4) if snapshots else None,
         }
         if not recovery:
             if snapshots:
@@ -713,16 +718,10 @@ class StreamingJob:
                 hot_state_path = os.path.join(
                     self.ckpt_dir, f"hot-e{e:05d}.pkl"
                 )
-                import pickle
-
-                tmp = hot_state_path + f".tmp.{os.getpid()}"
-                with open(tmp, "wb") as f:
-                    pickle.dump(
-                        {"hot_states": self.hot_states,
-                         "hot_open_windows": self.hot_open_windows},
-                        f,
-                    )
-                os.replace(tmp, hot_state_path)
+                write_checkpoint(hot_state_path, {
+                    "carry": to_ipc(encode_carry(self.hot_states)),
+                    "hot_open_windows": self.hot_open_windows,
+                })
             manifest = dict(
                 metrics,
                 outputs=[s["file"] for s in stats] + (hot["files"] if hot else []),
@@ -770,7 +769,7 @@ class StreamingJob:
     def gc_checkpoints(self) -> int:
         """Delete state snapshots a resume can no longer reach: only the
         snapshot set named by the LAST committed manifest's
-        ``last_snapshot_epoch`` (plus its hot-state pickle) is a live
+        ``last_snapshot_epoch`` (plus its hot-state file) is a live
         recovery point — every earlier ``state-e*-p*.pkl`` / ``hot-e*.pkl``
         is unreachable garbage.  At 10^12-turn scale snapshots are the
         dominant retained bytes (O(epochs × shards) files of carried conv
@@ -807,8 +806,9 @@ class StreamingJob:
     def fsck(self) -> dict:
         """Validate the committed lineage chain: every manifest from epoch
         0 to the last committed must exist (no gaps), reference only
-        output/snapshot/spill files that are present on disk, and carry a
-        ruleset hash.  Returns ``{"ok": bool, "last_epoch": int,
+        output files that are present on disk, and carry a ruleset hash;
+        the live recovery point's snapshot and hot-state files must be
+        present and decode.  Returns ``{"ok": bool, "last_epoch": int,
         "problems": [...]}`` — the pre-resume integrity check an operator
         runs after moving/restoring a checkpoint directory."""
         problems: list[str] = []
@@ -829,21 +829,29 @@ class StreamingJob:
             # historical manifests may reference snapshots gc_checkpoints
             # already removed — only the LIVE recovery point (checked
             # below) must be restorable
-        # the last manifest's recovery point must be fully restorable
+        # the last manifest's recovery point must be fully restorable: every
+        # snapshot and hot-state file present and decodable down to its
+        # carry and pending table schemas
         if last >= 0:
             snap_e = self._manifest(last).get("last_snapshot_epoch", -1)
             if snap_e >= 0 and os.path.exists(self._manifest_path(snap_e)):
                 sm = self._manifest(snap_e)
-                for s in sm.get("snapshots") or []:
-                    if not os.path.exists(s):
-                        problems.append(
-                            f"recovery point e{snap_e}: missing snapshot {s}"
-                        )
                 hs = sm.get("hot_state")
-                if hs and not os.path.exists(hs):
-                    problems.append(
-                        f"recovery point e{snap_e}: missing hot_state {hs}"
-                    )
+                files = [("snapshot", s) for s in sm.get("snapshots") or []]
+                for kind, path in files + ([("hot_state", hs)] if hs else []):
+                    if not os.path.exists(path):
+                        problems.append(
+                            f"recovery point e{snap_e}: missing {kind} {path}"
+                        )
+                        continue
+                    try:
+                        payload = read_checkpoint(path)
+                        for buf in [payload["carry"], *payload.get("pending", [])]:
+                            ipc_schema(buf)
+                    except Exception:  # noqa: BLE001 — any decode failure
+                        problems.append(
+                            f"recovery point e{snap_e}: unreadable {kind} {path}"
+                        )
         return {"ok": not problems, "last_epoch": last, "problems": problems}
 
     # -- results -----------------------------------------------------------

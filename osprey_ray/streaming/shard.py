@@ -20,7 +20,11 @@ Responsibilities:
   (:meth:`StateShard.eval_held_blocks`; protocol in stages/salted.py);
 - write its own output partition ``part-e{epoch}-p{part}.parquet`` via
   tmp+atomic-rename (idempotent: deterministic bytes, safe to re-run);
-- snapshot/restore its full state for checkpoints.
+- snapshot/restore its full state for checkpoints, columnar: the carry
+  ``states`` as one Arrow table with a row per conversation and each
+  pending table as Arrow IPC (codec in :mod:`osprey_ray.state.carry`), so
+  a snapshot never walks rows in Python and a rescale re-deals the carry
+  with one crc32 mask over its conv_ids.
 
 Partitioning assumption (documented per SURVEY §2.9): within a
 conversation, event-time ``ts`` is non-decreasing in ``turn_idx`` (turn
@@ -30,7 +34,8 @@ k+1 happens after turn k) — the cross-epoch dedup guard relies on it.
 from __future__ import annotations
 
 import os
-import pickle
+import time
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -43,9 +48,23 @@ from osprey_ray.rules import RuleSpec
 from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks
 from osprey_ray.stages.stateful import _conv_codes, eval_released, sort_and_dedup
 from osprey_ray.stages.stateless import split_rules
+from osprey_ray.state.carry import (
+    decode_carry, encode_carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint,
+)
 from osprey_ray.state.labels import LabelStore
 
 I64_MIN = np.iinfo(np.int64).min
+
+
+def _owned(tbl: pa.Table, num_parts: int, part: int) -> pa.Array:
+    """Row mask of ``tbl``'s rows whose ``crc32(conv_id) % num_parts`` is
+    ``part`` — crc32 runs once per unique conv_id."""
+    codes, dictionary = _conv_codes(tbl)
+    keep = np.array(
+        [zlib.crc32(c.encode()) % num_parts == part for c in dictionary.to_pylist()],
+        dtype=bool,
+    )
+    return pa.array(keep[codes])
 
 
 def emit_closed_windows(
@@ -168,6 +187,13 @@ class StateShard:
         # only time-bounded specs, ttl >= lateness and >= every feature
         # span, so eviction is semantically invisible)
         self.state_ttl_us = state_ttl_us
+        # finish the worker's lazy set-up at construction, which
+        # StreamingJob.warm() waits for: a worker's first ray.get of an
+        # Arrow table imports pandas and Ray's tensor extensions, a one-time
+        # cost that otherwise lands in the first epoch's process call (the
+        # undecorated class, used without Ray, has nothing to warm)
+        if ray.is_initialized():
+            ray.get(ray.put(pa.table({"conv_id": pa.array(["c"]).dictionary_encode()})))
 
     def update_spec(self, spec: RuleSpec) -> bool:
         """Hot-swap the compiled ruleset at an epoch boundary (the etcd-watch
@@ -613,25 +639,28 @@ class StateShard:
         return len(self.states)
 
     def snapshot(self, ckpt_dir: str, epoch: int) -> dict:
+        """Write this shard's full state as ``state-e{epoch}-p{part}.pkl``:
+        the carry ``states`` as one Arrow table (``state.carry`` codec) and
+        each pending table as Arrow IPC under its own schema, inside a
+        pickled envelope with the small members (labels, open windows,
+        armed timers, watermark, spill list).  Returns the path, the spill
+        files this snapshot no longer references, and the snapshot's bytes
+        and seconds."""
+        t0 = time.perf_counter()
         os.makedirs(ckpt_dir, exist_ok=True)
         path = os.path.join(ckpt_dir, f"state-e{epoch:05d}-p{self.part:04d}.pkl")
-        tmp = path + f".tmp.{os.getpid()}"
-        payload = {
-            "states": self.states,
+        size = write_checkpoint(path, {
+            "carry": to_ipc(encode_carry(self.states)),
+            "pending": [to_ipc(t) for t in self.pending],
             "last_seen": self.last_seen,
             "labels": self.labels.snapshot(),
-            "pending": [t.to_pydict() for t in self.pending],
-            "pending_schema": self.pending[0].schema if self.pending else None,
             "watermark": self.watermark,
             "open_windows": self.open_windows,
             "pending_absences": self.pending_absences,
             "pending_pairs": self.pending_pairs,
             "spilled": self.spilled,
             "spill_seq": self._spill_seq,
-        }
-        with open(tmp, "wb") as f:
-            pickle.dump(payload, f)
-        os.replace(tmp, path)
+        })
         # Spill files consumed before this snapshot are unreferenced by it,
         # but they MAY still be referenced by the previous snapshot, which
         # stays authoritative until the manifest naming THIS snapshot
@@ -642,7 +671,8 @@ class StateShard:
         # after the manifest referencing this snapshot is atomically
         # committed (streaming/job.py _commit).
         consumed, self._consumed_spills = self._consumed_spills, []
-        return {"path": path, "consumed_spills": consumed}
+        return {"path": path, "consumed_spills": consumed, "bytes": size,
+                "s": time.perf_counter() - t0}
 
     def restore_resharded(self, paths: list[str], new_P: int) -> bool:
         """Rebuild this shard's slice of the state from a checkpoint taken
@@ -652,13 +682,16 @@ class StateShard:
         new P just re-deals the keys).
 
         Every new shard reads EVERY old snapshot and keeps the
-        conversations whose crc32 routes here under ``new_P``; spilled
-        pending rows are absorbed inline (they re-spill past the threshold
-        on the next process call).  The watermark is the MIN across old
-        shards — conservative: rows the faster old shards already released
-        are in their carried state, and the merged watermark only delays
-        future releases until new data advances it."""
-        import zlib
+        conversations whose crc32 routes here under ``new_P``: one crc32
+        mask over each carry table's conv_ids and over each pending table's
+        unique conv_ids.  Spilled pending rows are absorbed inline (they
+        re-spill past the threshold on the next process call).  The
+        watermark is the MIN across old shards — conservative: rows the
+        faster old shards already released are in their carried state, and
+        the merged watermark only delays future releases until new data
+        advances it."""
+        def mine(key: str) -> bool:
+            return zlib.crc32(key.encode()) % new_P == self.part
 
         self.states, self.open_windows = {}, {}
         self.last_seen = {}
@@ -668,56 +701,34 @@ class StateShard:
         pend: list[pa.Table] = []
         wm = None
         for path in paths:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-
-            def mine(key: str) -> bool:
-                return zlib.crc32(key.encode()) % new_P == self.part
-
-            self.states.update(
-                {c: s for c, s in payload["states"].items() if mine(c)}
-            )
+            payload = read_checkpoint(path)
+            carry = from_ipc(payload["carry"])
+            self.states.update(decode_carry(carry.filter(_owned(carry, new_P, self.part))))
             self.last_seen.update(
-                {c: v for c, v in payload.get("last_seen", {}).items() if mine(c)}
+                {c: v for c, v in payload["last_seen"].items() if mine(c)}
             )
             # open_windows keys are (window_name, conv_id, ...) tuples
             self.open_windows.update(
-                {k: w for k, w in payload.get("open_windows", {}).items() if mine(k[1])}
+                {k: w for k, w in payload["open_windows"].items() if mine(k[1])}
             )
             # armed absence timers re-deal by conv like windows; keys are
             # (pattern, conv_id) and unique across old shards
             self.pending_absences.update(
-                {k: v for k, v in payload.get("pending_absences", {}).items()
-                 if mine(k[1])}
+                {k: v for k, v in payload["pending_absences"].items() if mine(k[1])}
             )
             # armed pair state re-deals identically; keys (pattern, conv)
             self.pending_pairs.update(
-                {k: v for k, v in payload.get("pending_pairs", {}).items()
-                 if mine(k[1])}
+                {k: v for k, v in payload["pending_pairs"].items() if mine(k[1])}
             )
             lab_entries.extend(e for e in payload["labels"] if mine(e[0]))
-            schema = payload["pending_schema"]
-            tables = [
-                pa.Table.from_pydict(d, schema=schema) for d in payload["pending"]
-            ]
+            tables = [from_ipc(b) for b in payload["pending"]]
             # old spill files are absorbed here and intentionally NOT
             # referenced by the new shard (the old manifests still name
             # them; they become garbage once the first rescaled manifest
             # commits)
-            tables += [pq.read_table(f["path"]) for f in payload.get("spilled", [])]
+            tables += [pq.read_table(f["path"]) for f in payload["spilled"]]
             for t in tables:
-                if t.num_rows == 0:
-                    continue
-                col = t["conv_id"]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                enc = col.dictionary_encode()
-                keep_dict = np.array(
-                    [mine(c) for c in enc.dictionary.to_pylist()], dtype=bool
-                )
-                kept = t.filter(
-                    pa.array(keep_dict[enc.indices.to_numpy(zero_copy_only=False)])
-                )
+                kept = t.filter(_owned(t, new_P, self.part))
                 if kept.num_rows:
                     pend.append(kept)
             w = payload["watermark"]
@@ -753,20 +764,19 @@ class StateShard:
         return (max(seqs) + 1) if seqs else 0
 
     def restore(self, path: str) -> bool:
-        with open(path, "rb") as f:
-            payload = pickle.load(f)
-        self.states = payload["states"]
-        self.last_seen = payload.get("last_seen", {})
+        """Restore the state a same-shard-count :meth:`snapshot` wrote; a
+        snapshot in any other format fails with a ``ValueError`` naming
+        it."""
+        payload = read_checkpoint(path)
+        self.states = decode_carry(from_ipc(payload["carry"]))
+        self.pending = [from_ipc(b) for b in payload["pending"]]
+        self.last_seen = payload["last_seen"]
         self.labels = LabelStore.restore(payload["labels"])
-        schema = payload["pending_schema"]
-        self.pending = [
-            pa.Table.from_pydict(d, schema=schema) for d in payload["pending"]
-        ]
         self.watermark = payload["watermark"]
-        self.open_windows = payload.get("open_windows", {})
-        self.pending_absences = payload.get("pending_absences", {})
-        self.pending_pairs = payload.get("pending_pairs", {})
-        self.spilled = payload.get("spilled", [])
-        self._spill_seq = payload.get("spill_seq", 0)
+        self.open_windows = payload["open_windows"]
+        self.pending_absences = payload["pending_absences"]
+        self.pending_pairs = payload["pending_pairs"]
+        self.spilled = payload["spilled"]
+        self._spill_seq = payload["spill_seq"]
         self._consumed_spills = []
         return True

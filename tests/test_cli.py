@@ -187,3 +187,24 @@ def test_job_submit_fsck_and_gc_flags(ray_session, tmp_path):
 
     _os.remove(glob.glob(str(tmp_path / "out" / "data" / "part-*.parquet"))[0])
     assert main(args + ["--fsck"]) == 3
+
+
+def test_job_submit_fsck_truncated_snapshot(ray_session, tmp_path):
+    """--fsck exits 3 when a live snapshot is present but truncated."""
+    import glob
+    import os
+
+    from osprey_ray.datagen import ensure_dataset
+    from osprey_ray.streaming.run import main
+
+    d = ensure_dataset(2_000, seed=11, root=str(tmp_path / "data"))
+    args = [
+        "--input", d + "/stream", "--out", str(tmp_path / "out"),
+        "--shards", "4", "--files-per-epoch", "2", "--gc-checkpoints",
+    ]
+    assert main(args) == 0
+    assert main(args + ["--fsck"]) == 0
+    victim = glob.glob(str(tmp_path / "out" / "checkpoint" / "state-*.pkl"))[0]
+    with open(victim, "r+b") as f:
+        f.truncate(os.path.getsize(victim) - 1)
+    assert main(args + ["--fsck"]) == 3

@@ -1482,6 +1482,44 @@ def test_fsck_flags_deleted_snapshot(stream_data, tmp_path):
     assert any("missing snapshot" in p for p in bad["problems"]), bad["problems"]
 
 
+def test_fsck_flags_truncated_snapshot(stream_data, tmp_path):
+    """A live snapshot that is present but truncated fails fsck (it would
+    fail at resume) instead of passing the existence check."""
+    import glob as _glob
+
+    segs, lmap, _ = stream_data
+    j = StreamingJob(flagship_spec(), segs, str(tmp_path / "out"), lmap,
+                     num_shards=4, files_per_epoch=2)
+    j.run(stop_after_epoch=2)
+    assert j.fsck()["ok"]
+    victim = sorted(_glob.glob(str(tmp_path / "out" / "checkpoint" / "state-*.pkl")))[-1]
+    with open(victim, "r+b") as f:
+        f.truncate(os.path.getsize(victim) // 2)
+    bad = j.fsck()
+    assert not bad["ok"]
+    assert f"recovery point e2: unreadable snapshot {victim}" in bad["problems"], bad["problems"]
+
+
+@pytest.mark.parametrize("interval", [1, 3])
+def test_manifest_records_snapshot_cost(stream_data, tmp_path, interval):
+    """Epochs that snapshot record the snapshot bytes (summed over shards)
+    and seconds (slowest shard); the others record null."""
+    segs, lmap, _ = stream_data
+    j = StreamingJob(flagship_spec(), segs, str(tmp_path / "out"), lmap, num_shards=4,
+                     files_per_epoch=2, checkpoint_interval=interval)
+    j.run()
+    assert len(j.metrics) >= 4
+    for m in j.metrics:
+        man = j._manifest(m["epoch"])
+        assert man["snapshot_bytes"] == m["snapshot_bytes"]
+        if m["epoch"] % interval == interval - 1:
+            assert man["snapshot_bytes"] == sum(os.path.getsize(p) for p in man["snapshots"])
+            assert 0 <= man["snapshot_s"] <= man["wall_s"]
+        else:
+            assert not man["snapshots"]
+            assert man["snapshot_bytes"] is None and man["snapshot_s"] is None
+
+
 def test_feature_adding_swap_schema_evolution(stream_data, tmp_path):
     """A hot-swap that ADDS features mid-run (the dynamic ALTER ADD COLUMN
     case): epochs before the swap lack the new columns, results_table()
