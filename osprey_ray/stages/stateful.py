@@ -109,6 +109,17 @@ def _carried(states: dict, cids: list) -> list:
     return [states.get(c) or None for c in cids]
 
 
+def _in_order(codes: np.ndarray, turn: np.ndarray, ts: np.ndarray) -> bool:
+    """True when rows already ascend by (codes, turn, ts): the stable
+    lexsort would then be the identity, so it and its take are skipped."""
+    if (codes[1:] < codes[:-1]).any():
+        return False
+    tie = codes[1:] == codes[:-1]
+    if (tie & (turn[1:] < turn[:-1])).any():
+        return False
+    return not (tie & (turn[1:] == turn[:-1]) & (ts[1:] < ts[:-1])).any()
+
+
 def sort_and_dedup(tbl: pa.Table, states: dict) -> pa.Table:
     """Order by (conv_id, turn_idx, ts) and exact-dedup on (conv_id,
     turn_idx) keep-first (SURVEY §2.8 — the at-least-once duplicate guard;
@@ -120,16 +131,18 @@ def sort_and_dedup(tbl: pa.Table, states: dict) -> pa.Table:
     Grouping uses dictionary codes (first-appearance order) + numpy lexsort
     — deterministic for a deterministic input row order, and conversations
     are mutually independent so inter-conversation order never affects
-    results."""
+    results.  Input already in that order (every batch exchange partition)
+    skips the sort after one O(n) check."""
     if tbl.num_rows == 0:
         return tbl
     codes, dictionary = _conv_codes(tbl)
     turn = tbl["turn_idx"].to_numpy()
     ts = tbl["ts"].cast(pa.int64()).to_numpy()
-    order = np.lexsort((ts, turn, codes))
-    codes = codes[order]
-    turn = turn[order]
-    tbl = tbl.take(pa.array(order))
+    if not _in_order(codes, turn, ts):
+        order = np.lexsort((ts, turn, codes))
+        codes = codes[order]
+        turn = turn[order]
+        tbl = tbl.take(pa.array(order))
     n = len(codes)
     keep = np.ones(n, dtype=bool)
     same_conv = codes[1:] == codes[:-1]
@@ -744,23 +757,19 @@ def eval_released(
                 rule_vals[rp.name] &= cv
 
     # ---- triggers → verdicts --------------------------------------------
-    # sparse: only fired rows materialize Python sets
-    verdict_sets: dict[int, set] = {}
-    fired_rules: dict[int, set] = {}
+    # one boolean column per name: a verdict is on where any trigger that
+    # declares it fires; a rule is on where it is true and sits in some
+    # trigger's rules_any (a true rule fires its trigger)
+    verdict_mask: dict[str, np.ndarray] = {}
+    rule_mask: dict[str, np.ndarray] = {}
     for trg in spec.triggers:
         fired = np.zeros(n, dtype=bool)
         for rn in trg.rules_any:
             fired |= rule_vals[rn]
-        if not fired.any():
-            continue
-        verdicts = [ef.verdict for ef in trg.then if isinstance(ef, DeclareVerdict)]
-        for i in np.flatnonzero(fired):
-            i = int(i)
-            verdict_sets.setdefault(i, set()).update(verdicts)
-            fr = fired_rules.setdefault(i, set())
-            for rn in trg.rules_any:
-                if rule_vals[rn][i]:
-                    fr.add(rn)
+            rule_mask[rn] = rule_vals[rn]
+        for ef in trg.then:
+            if isinstance(ef, DeclareVerdict):
+                verdict_mask[ef.verdict] = verdict_mask.get(ef.verdict, False) | fired
 
     # ---- assemble output -------------------------------------------------
     # (conv_id travels the exchange dictionary-encoded; outputs decode back
@@ -785,17 +794,24 @@ def eval_released(
     for r in spec.rules:
         out[r.name] = pa.array(rule_vals[r.name])
     if spec.triggers:
-        empty: list[str] = []
-        out["__verdicts"] = pa.array(
-            [sorted(verdict_sets[i]) if i in verdict_sets else empty for i in range(n)],
-            pa.list_(pa.string()),
-        )
-        out["__rules_fired"] = pa.array(
-            [sorted(fired_rules[i]) if i in fired_rules else empty for i in range(n)],
-            pa.list_(pa.string()),
-        )
+        out["__verdicts"] = _name_lists(verdict_mask, n)
+        out["__rules_fired"] = _name_lists(rule_mask, n)
     out["__error_count"] = tbl["__error_count"]
     return pa.table(out), mutations
+
+
+def _name_lists(masks: dict[str, np.ndarray], n: int) -> pa.ListArray:
+    """``list<string>`` column whose row i lists, sorted, the names whose
+    mask is true on row i.  The names are sorted once, so a row-major
+    ``nonzero`` over the (rows x names) mask yields every row's names in
+    order; per-row counts give the offsets and one ``take`` the values."""
+    names = sorted(masks)
+    mask = np.column_stack([masks[k] for k in names]) if names else np.zeros((n, 0), bool)
+    rows, which = np.nonzero(mask)
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    offsets[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    values = pa.array(names, pa.string()).take(pa.array(which))
+    return pa.ListArray.from_arrays(pa.array(offsets), values)
 
 
 def _output_columns(tbl: pa.Table, spec: RuleSpec) -> list[str]:

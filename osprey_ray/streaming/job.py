@@ -99,6 +99,15 @@ def _read_segment_chunk(path: str, rgs) -> pa.Table:
     return pq.ParquetFile(path).read_row_groups(list(rgs))
 
 
+def _read_groups(chunks: list, num_parts: int) -> list[list]:
+    """Split read chunks into min(len(chunks), num_parts) contiguous groups
+    in order, sizes differing by at most one: one ``_read_route`` task per
+    group.  Each partition still receives its rows in chunk order."""
+    m = min(len(chunks), num_parts)
+    cut = [len(chunks) * i // m for i in range(m + 1)] if m else []
+    return [chunks[a:b] for a, b in zip(cut, cut[1:])]
+
+
 @ray.remote
 def _read_route(
     chunks: list,
@@ -239,7 +248,6 @@ class StreamingJob:
         label_events: dict[str, list] | None = None,
         num_shards: int = 8,
         files_per_epoch: int = 2,
-        files_per_read_task: int = 1,
         allowed_lateness_s: float = 1000.0,
         checkpoint_interval: int = 1,
         pending_spill_rows: int = 500_000,
@@ -283,7 +291,6 @@ class StreamingJob:
             os.makedirs(d, exist_ok=True)
         self.label_events = label_events or {}
         self.P = num_shards
-        self.files_per_read_task = files_per_read_task
         # hot-conversation salting (the sub-key exchange, stages/salted.py):
         # conversations in hot_convs route by (conv, turn-block) so their
         # BYTES spread across shards; the driver holds their carry state,
@@ -425,13 +432,11 @@ class StreamingJob:
                 eb = self.source.poll_epoch()
                 if eb is None:
                     return None
-            k = self.files_per_read_task
             read_refs = [
                 _read_route.options(num_returns=self.P + 1).remote(
-                    eb.chunks[i : i + k], self.stage1, self.P, hot_ref,
-                    self.hot_block_turns,
+                    group, self.stage1, self.P, hot_ref, self.hot_block_turns,
                 )
-                for i in range(0, len(eb.chunks), k)
+                for group in _read_groups(eb.chunks, self.P)
             ]
             return eb, read_refs, self.source.state(), wm
 
