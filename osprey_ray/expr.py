@@ -205,11 +205,9 @@ class Lit(Expr):
     value: Any
 
     def eval_batch(self, ctx):
-        if self.value is None:
-            return pa.nulls(ctx.n)
-        if isinstance(self.value, list):
-            return pa.array([self.value] * ctx.n)
-        return pa.array([self.value] * ctx.n)
+        # pa.repeat rejects a nested scalar at length 0; zero rows stay a
+        # null-typed empty array
+        return pa.repeat(pa.scalar(self.value), ctx.n) if ctx.n else pa.nulls(0)
 
     def eval_row(self, rctx): return self.value
 

@@ -201,8 +201,9 @@ class TumblingMax:
     so the running max is a monotone non-negative series within a window;
     like :class:`TumblingCount`/:class:`TumblingSum` the window stream
     merges cross-epoch partials by ``max`` (shard.py
-    ``_accumulate_windows``) and hot-conversation salting merges block
-    partials by ``max`` (salted.py ``merge_state``).  The reference has no
+    ``_accumulate_windows``) and hot-conversation salting combines a
+    block's carry-out with the carried partial by ``max`` (salted.py
+    ``merge_state``).  The reference has no
     direct analogue — its Redis counter path (example_plugins/src/udfs/
     cache.py:161-207) only increments — so this is an engine extension in
     the same family."""

@@ -9,16 +9,17 @@ block_turns``) by the sub-key ``conv_id#blk`` instead (the route is
 unsalted evaluation:
 
 1. **Carve** (:func:`carve_hot_blocks`, per partition) — split the hot
-   ``(conv, blk)`` runs off a sorted, deduped slice, hold them, and compute
-   each one's tiny *boundary summary* (:func:`summarize_block`): the
-   sliding-window event tail, tumbling-bucket partials, session-boundary
-   gap facts, the CEP first-match tail and the last KV write.  Exactly the
-   state ``eval_released`` reads from ``states`` and, with ``persist=True``,
-   writes back, derived without evaluating rules.
+   ``(conv, blk)`` runs off a sorted, deduped slice, hold them, and run
+   ``eval_released``'s window scan (``stateful.scan_windows``) once over
+   all hot rows with the blocks as its runs and no seed.  A block's
+   summary is that scan's carry-out for it (the sliding-window event tail,
+   tumbling partial, session tail, CEP first-match tail, last KV write and
+   ``last_turn``) plus its first and last ``ts``.
 2. **Scan** (:func:`scan_seeds`, driver, cheap) — per conversation,
-   summaries merge in turn order (:func:`merge_state`) from the carry into
-   the state each block starts from.  One tiny dict per block; associative
-   per feature family (SURVEY §2.9 notes window merges are associative).
+   summaries combine in turn order (:func:`merge_state`) from the carry
+   into the state each block starts from.  The combine reads carry values
+   only, one small dict per block; it is associative per feature family
+   (SURVEY §2.9 notes window merges are associative).
 3. **Seeded eval** (:func:`eval_seeded_blocks`, per partition) — every
    held block evaluates through the same ``eval_released`` call streaming
    makes per epoch: its whole-array window scans read the block's incoming
@@ -49,9 +50,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from osprey_ray.rules import (
-    HasLabel,
     IncrementWindow,
-    KvCache,
     RuleSpec,
     SequenceMatch,
     SessionWindow,
@@ -59,9 +58,14 @@ from osprey_ray.rules import (
     TumblingDistinct,
     TumblingMax,
     TumblingSum,
-    WindowCount,
 )
-from osprey_ray.stages.stateful import _conv_codes, eval_released, sort_and_dedup
+from osprey_ray.stages.stateful import (
+    _conv_codes,
+    _group_cids,
+    eval_released,
+    scan_windows,
+    sort_and_dedup,
+)
 from osprey_ray.state.labels import LabelStore
 
 
@@ -85,178 +89,59 @@ def check_hot_routing(spec: RuleSpec) -> None:
             )
 
 
-def _flag(tbl: pa.Table, col: str) -> np.ndarray:
-    return pc.fill_null(tbl[col], False).to_numpy(zero_copy_only=False)
-
-
-def summarize_block(tbl: pa.Table, spec: RuleSpec) -> dict:
-    """Boundary summary of one sorted, deduped single-conversation block.
-
-    Cheap and rule-free: only the ``__sf_`` predicate columns stage 1 already
-    computed are touched.  The summary is everything ``merge_state`` needs to
-    extend a prefix carry-state across this block."""
-    ts = tbl["ts"].cast(pa.int64()).to_numpy()
-    turn = tbl["turn_idx"].to_numpy().astype(np.int64)
-    summ: dict = {
-        "last_turn": int(turn[-1]),
-        "first_ts": int(ts[0]),
-        "last_ts": int(ts[-1]),
-    }
+def merge_state(prev: dict | None, summ: tuple, spec: RuleSpec) -> dict:
+    """Carry state after (prefix → this block): the combine of the carried
+    state ``prev`` with a block summary ``(first_ts, last_ts, carry-out)``,
+    where the carry-out is the state the window scan leaves after the block
+    when it starts from nothing.  Reads carry values only, and writes the
+    state (value types included) that evaluating the block from ``prev``
+    with ``persist=True`` leaves."""
+    first_ts, last_ts, blk = summ
+    if not prev:
+        return dict(blk)
+    # KvCache: the block's last write wins (the carried one stays when the
+    # block wrote none); last_turn: the block's
+    out = {**prev, **blk}
     for sf in spec.stateful:
         if isinstance(sf, IncrementWindow):
-            w_us = np.int64(sf.window_seconds * 1e6)
-            evs = ts[_flag(tbl, f"__sf_{sf.name}")]
-            keep_from = np.searchsorted(evs, ts[-1] - w_us, side="right")
-            summ[f"w:{sf.name}"] = evs[keep_from:][-sf.max_events_cap :]
-        elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax)):
-            # shared segment-partial shape for the whole tumbling family:
-            # (first_bucket, reduce(first_seg), last_bucket,
-            #  reduce(last_seg), single_segment?) where reduce is count/sum
-            # (merged by +) or max (merged by max) — all three are exact
-            # under block splits because within a bucket the per-turn value
-            # is a running reduction of per-row contributions
-            b_us = np.int64(sf.bucket_seconds * 1e6)
-            if isinstance(sf, TumblingCount):
-                vals = _flag(tbl, f"__sf_{sf.name}").astype(np.int64)
-            else:
-                # stage 1 already clamped nulls/negatives to 0 (int64)
-                vals = (
-                    pc.fill_null(tbl[f"__sf_{sf.name}"], 0)
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64)
-                )
-            reduce = np.max if isinstance(sf, TumblingMax) else np.sum
-            bucket = ts // b_us
-            new_seg = np.empty(len(ts), dtype=bool)
-            new_seg[0] = True
-            new_seg[1:] = bucket[1:] != bucket[:-1]
-            seg = np.cumsum(new_seg) - 1
-            nseg = int(seg[-1]) + 1
-            cnt_first = int(reduce(vals[seg == 0]))
-            cnt_last = cnt_first if nseg == 1 else int(reduce(vals[seg == nseg - 1]))
-            summ[f"t:{sf.name}"] = (int(bucket[0]), cnt_first, int(bucket[-1]), cnt_last, nseg == 1)
-        elif isinstance(sf, TumblingDistinct):
-            # distinct variant of the tumbling segment-partial: the partial
-            # is the exact SET of values in the boundary segments (bounded
-            # by one bucket's distinct count; merge unions, then drops the
-            # set once the cap saturates — split-invariant because a
-            # saturated count can never move again)
-            b_us = np.int64(sf.bucket_seconds * 1e6)
-            col0 = tbl[f"__sf_{sf.name}"].combine_chunks()
-            enc = col0 if pa.types.is_dictionary(col0.type) else pc.dictionary_encode(col0)
-            codes = pc.fill_null(enc.indices.cast(pa.int64()), -1).to_numpy(
-                zero_copy_only=False
-            )
-            dstrs = enc.dictionary.to_pylist()
-            bucket = ts // b_us
-            new_seg = np.empty(len(ts), dtype=bool)
-            new_seg[0] = True
-            new_seg[1:] = bucket[1:] != bucket[:-1]
-            seg = np.cumsum(new_seg) - 1
-            nseg = int(seg[-1]) + 1
-
-            def _seg_set(mask, codes=codes, dstrs=dstrs):
-                cs = codes[mask]
-                u = np.unique(cs[cs >= 0])
-                return frozenset(dstrs[int(c)] for c in u)
-
-            set_first = _seg_set(seg == 0)
-            set_last = set_first if nseg == 1 else _seg_set(seg == nseg - 1)
-            summ[f"t:{sf.name}"] = (
-                int(bucket[0]), set_first, int(bucket[-1]), set_last, nseg == 1,
-            )
-        elif isinstance(sf, SessionWindow):
-            g_us = np.int64(sf.gap_seconds * 1e6)
-            gaps = np.diff(ts) > g_us
-            internal = int(gaps.sum())
-            tail = len(ts) - (int(np.flatnonzero(gaps)[-1]) + 1) if internal else len(ts)
-            summ[f"s:{sf.name}"] = (internal, tail)
+            key = f"w:{sf.name}"
+            pbuf = prev.get(key)
+            if pbuf is not None:
+                keep = pbuf[pbuf > last_ts - np.int64(sf.window_seconds * 1e6)]
+                out[key] = np.concatenate([keep, blk[key]])[-sf.max_events_cap :]
         elif isinstance(sf, SequenceMatch):
-            firsts = turn[_flag(tbl, f"__sf_{sf.name}")]
-            keep_from = np.searchsorted(firsts, turn[-1] - sf.within_turns, side="left")
-            summ[f"q:{sf.name}"] = firsts[keep_from:]
-        elif isinstance(sf, KvCache):
-            pos = np.flatnonzero(_flag(tbl, f"__sf_{sf.name}"))
-            if len(pos):
-                vcol = tbl[f"__sfv_{sf.name}"]
-                if isinstance(vcol, pa.ChunkedArray):
-                    vcol = vcol.combine_chunks()
-                j = int(pos[-1])
-                summ[f"k:{sf.name}"] = (int(ts[j]), vcol[j].as_py())
+            key = f"q:{sf.name}"
+            pbuf = prev.get(key)
+            if pbuf is not None:
+                keep = pbuf[pbuf >= blk["last_turn"] - sf.within_turns]
+                out[key] = np.concatenate([keep, blk[key]])
+        elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)):
+            # the carried partial continues only into a block that stays in
+            # the carried bucket from its first row to its last (one bucket
+            # segment: ts does not decrease along a conversation's turns,
+            # which the sliding-window scans rely on too)
+            key = f"t:{sf.name}"
+            pv, bv = prev.get(key), blk[key]
+            if pv is None or not pv[0] == bv[0] == first_ts // np.int64(sf.bucket_seconds * 1e6):
+                continue
+            if isinstance(sf, TumblingDistinct):
+                cap = sf.max_distinct_cap
+                seen = None if pv[2] is None or bv[2] is None else pv[2] | bv[2]
+                c = cap if seen is None else min(len(seen), cap)
+                out[key] = (bv[0], c, None if c >= cap else seen)
+            elif isinstance(sf, TumblingMax):
+                out[key] = (bv[0], max(pv[1], bv[1]))
             else:
-                summ[f"k:{sf.name}"] = None
-        elif isinstance(sf, WindowCount):
-            pass  # reads its source IncrementWindow's buffer
-        elif isinstance(sf, HasLabel):
-            raise ValueError("label features are not saltable (sequential per conv)")
-    return summ
-
-
-def merge_state(prev: dict | None, summ: dict, spec: RuleSpec) -> dict:
-    """Carry-state after (prefix → this block), in the exact format
-    ``eval_released`` reads from and (``persist=True``) writes back into
-    ``states`` (see the ``stateful`` module docstring)."""
-    p = prev or {}
-    out: dict = {}
-    for sf in spec.stateful:
-        if isinstance(sf, IncrementWindow):
-            w_us = np.int64(sf.window_seconds * 1e6)
-            pbuf = p.get(f"w:{sf.name}", np.empty(0, dtype=np.int64))
-            keep = pbuf[pbuf > summ["last_ts"] - w_us]
-            out[f"w:{sf.name}"] = np.concatenate(
-                [keep, summ[f"w:{sf.name}"]]
-            ).astype(np.int64)[-sf.max_events_cap :]
-        elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax)):
-            fb, cf, lb, cl, single = summ[f"t:{sf.name}"]
-            pv = p.get(f"t:{sf.name}")
-            if pv is not None and single and pv[0] == fb:
-                merged = (
-                    max(int(pv[1]), cl)
-                    if isinstance(sf, TumblingMax)
-                    else int(pv[1]) + cl
-                )
-                out[f"t:{sf.name}"] = (lb, merged)
-            else:
-                out[f"t:{sf.name}"] = (lb, cl)
-        elif isinstance(sf, TumblingDistinct):
-            fb, s_f, lb, s_l, single = summ[f"t:{sf.name}"]
-            pv = p.get(f"t:{sf.name}")  # (bucket, count, seen|None)
-            cap = sf.max_distinct_cap
-            if pv is not None and single and pv[0] == fb:
-                if pv[2] is None:  # already saturated — pinned at cap
-                    out[f"t:{sf.name}"] = (lb, cap, None)
-                else:
-                    u = frozenset(pv[2] | s_l)
-                    c = min(len(u), cap)
-                    out[f"t:{sf.name}"] = (lb, c, None if c >= cap else u)
-            else:
-                c = min(len(s_l), cap)
-                out[f"t:{sf.name}"] = (lb, c, None if c >= cap else s_l)
+                out[key] = (bv[0], pv[1] + bv[1])
         elif isinstance(sf, SessionWindow):
-            internal, tail = summ[f"s:{sf.name}"]
-            g_us = np.int64(sf.gap_seconds * 1e6)
-            pv = p.get(f"s:{sf.name}")
-            if pv is None:
-                sid, cnt = internal, tail
-            else:
-                last_ts_p, sid_p, cnt_p = pv
-                boundary = (summ["first_ts"] - last_ts_p) > g_us
-                sid = sid_p + (1 if boundary else 0) + internal
-                cnt = tail + (cnt_p if (internal == 0 and not boundary) else 0)
-            out[f"s:{sf.name}"] = (summ["last_ts"], int(sid), int(cnt))
-        elif isinstance(sf, SequenceMatch):
-            pbuf = p.get(f"q:{sf.name}", np.empty(0, dtype=np.int64))
-            keep = pbuf[pbuf >= summ["last_turn"] - sf.within_turns]
-            out[f"q:{sf.name}"] = np.concatenate([keep, summ[f"q:{sf.name}"]]).astype(np.int64)
-        elif isinstance(sf, KvCache):
-            k = summ[f"k:{sf.name}"]
-            prev_k = p.get(f"k:{sf.name}")
-            out[f"k:{sf.name}"] = k if k is not None else prev_k
-        elif isinstance(sf, WindowCount):
-            pass
-    # drop None KV entries so eval's st.get(...) semantics match an absent key
-    out = {k: v for k, v in out.items() if v is not None}
-    out["last_turn"] = summ["last_turn"]
+            # the block's own session id counts its internal breaks
+            key = f"s:{sf.name}"
+            pv = prev.get(key)
+            if pv is not None:
+                lt, breaks, cnt = blk[key]
+                boundary = int(first_ts - pv[0] > np.int64(sf.gap_seconds * 1e6))
+                sid = pv[1] + boundary + breaks
+                out[key] = (lt, sid, cnt if breaks or boundary else pv[2] + cnt)
     return out
 
 
@@ -266,36 +151,43 @@ def carve_hot_blocks(
     """Split the hot conversations' contiguous ``(conv, turn_idx //
     block_turns)`` runs off a sorted, deduped slice.  Returns ``(cold rows,
     held blocks [(conv, blk, table)], summaries [(conv, blk, first_turn,
-    summary)])``; the summaries feed :func:`scan_seeds`, the held blocks
+    (first_ts, last_ts, carry-out))])``; the carry-outs come from one
+    unseeded window scan over all hot rows, with the blocks as its runs.
+    The summaries feed :func:`scan_seeds`, the held blocks
     :func:`eval_seeded_blocks`."""
     if not hot or tbl.num_rows == 0:
         return tbl, [], []
     codes, dictionary = _conv_codes(tbl)
-    names = dictionary.to_pylist()
-    hot_code = np.array([c in hot for c in names], dtype=bool)
-    if not hot_code.any():
+    hot_code = pc.is_in(dictionary, pa.array(list(hot), dictionary.type))
+    row_hot = hot_code.to_numpy(zero_copy_only=False)[codes]
+    if not row_hot.any():  # a shipped dictionary may name absent convs
         return tbl, [], []
-    row_hot = hot_code[codes]
-    turn = tbl["turn_idx"].to_numpy().astype(np.int64)
+    hot_tbl = tbl.filter(pa.array(row_hot))
+    codes = codes[row_hot]
+    turn = hot_tbl["turn_idx"].to_numpy().astype(np.int64)
+    ts = hot_tbl["ts"].cast(pa.int64()).to_numpy()
     blk = turn // np.int64(block_turns)
     n = len(codes)
     change = np.empty(n, dtype=bool)
     change[0] = True
     change[1:] = (codes[1:] != codes[:-1]) | (blk[1:] != blk[:-1])
+    _, _, carry_out = scan_windows(hot_tbl, spec, change, None, persist=True)
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
-    hot_runs = row_hot[starts]
+    cids = _group_cids(dictionary, codes, starts)
     held, summaries = [], []
-    for s, e in zip(starts[hot_runs], ends[hot_runs]):
-        cid, b = names[codes[s]], int(blk[s])
-        block = tbl.slice(int(s), int(e - s)).combine_chunks()
-        held.append((cid, b, block))
-        summaries.append((cid, b, int(turn[s]), summarize_block(block, spec)))
+    for gi, (s, e, b, t0, ts0, ts1) in enumerate(zip(
+        starts.tolist(), ends.tolist(), blk[starts].tolist(), turn[starts].tolist(),
+        ts[starts].tolist(), ts[ends - 1].tolist(),
+    )):
+        carry = {key: vals[gi] for key, vals in carry_out if vals[gi] is not None}
+        held.append((cids[gi], b, hot_tbl.slice(s, e - s).combine_chunks()))
+        summaries.append((cids[gi], b, t0, (ts0, ts1, carry)))
     return tbl.filter(pa.array(~row_hot)), held, summaries
 
 
 def scan_seeds(summaries: list, carry: dict, spec: RuleSpec) -> dict:
-    """Driver scan: per conversation, merge block summaries in turn order
+    """Driver scan: per conversation, combine block summaries in turn order
     from ``carry`` (conv -> carry-state, advanced in place past every
     block) and return each block's incoming state ``{(conv, blk): seed}``."""
     seeds: dict = {}

@@ -3,9 +3,13 @@
 This is the engine's only stateful stage (SURVEY §7 step 5): input rows are
 hash-partitioned by ``conv_id`` and evaluated in strict
 ``(conv_id, turn_idx, ts)`` order within each partition.  Window math has
-one implementation: whole-array segmented scans over every conversation at
-once, each seeded from the conversation's carried state (read in one
-gather, written back in one pass) — no window math runs per conversation.
+one implementation, :func:`scan_windows`: whole-array segmented scans over
+runs of ordered rows, each run seeded from its carried state, leaving each
+run's carry-out.  A run is any group of consecutive rows:
+:func:`eval_released` scans conversations (carry read in one gather,
+written back in one pass), and hot-conversation salting scans ``(conv,
+turn block)`` runs unseeded to summarise blocks — no window math runs per
+conversation or per block.
 The label subsystem — whose read-your-writes ordering is inherently
 sequential (a turn's LabelAdd is visible to later turns but not itself,
 mirroring write-after-classify in
@@ -313,45 +317,27 @@ def _tumbling_distinct(col, sf, bucket, new_seg, starts, ends, gidx, cont, carry
     return cnt
 
 
-def eval_released(
-    tbl: pa.Table,
-    spec: RuleSpec,
-    rule_plans: list[RulePlan],
-    states: dict,
-    label_store: LabelStore,
-    label_events: dict[str, list] | None = None,
-    persist: bool = True,
-) -> tuple[pa.Table, list[tuple]]:
-    """Evaluate ordered, deduped rows; mutates ``states``/``label_store``.
+def scan_windows(
+    tbl: pa.Table, spec: RuleSpec, change: np.ndarray, carried: list | None, persist: bool
+) -> tuple[dict, dict, list]:
+    """Every window feature as whole-array scans over ordered rows split
+    into runs: a run starts at each row where ``change`` is True
+    (``change[0]`` is), and run g starts from the carried state
+    ``carried[g]`` (None: nothing; ``carried=None``: no run carries
+    anything).  :func:`eval_released` runs it over conversations; salting's
+    carve runs it, unseeded, over ``(conv, turn_idx // block_turns)`` blocks.
 
-    Window math reads each conversation's carry from ``states`` (empty for a
-    fresh batch run) and runs as whole-array scans.  ``persist`` writes the
-    advanced carry back into ``states``: streaming shards and salted blocks
-    keep it (the default), batch callers discard it (``persist=False``).
-
-    Returns (execution-results table, applied label mutations
-    [(conv_id, ts_us, label, status)]).
-    """
-    label_events = label_events or {}
+    Returns (per-row feature values, per-row KvCache values, carry-out).
+    With ``persist`` the carry-out lists ``(state key, per-run value |
+    None)``: each run's state after its last row, ``last_turn`` included;
+    without it, it is empty."""
     n = tbl.num_rows
-    hl_feats = [s for s in spec.stateful if isinstance(s, HasLabel)]
-    out_schema_cols = _output_columns(tbl, spec)
-    if n == 0:
-        return _empty_output(tbl, spec), []
-
-    codes, dictionary = _conv_codes(tbl)
     turn = tbl["turn_idx"].to_numpy()
     ts = tbl["ts"].cast(pa.int64()).to_numpy()
-
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = codes[1:] != codes[:-1]
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
     G = len(starts)
     gidx = np.repeat(np.arange(G), ends - starts)
-    group_cids = _group_cids(dictionary, codes, starts)
-    carried = _carried(states, group_cids) if states else None
 
     def seed(key: str) -> list | None:
         """Per-group carried value of one state key (None = none)."""
@@ -371,18 +357,12 @@ def eval_released(
             for i in range(fields)
         )
 
-    sf_vals: dict[str, np.ndarray] = {}
-    for sf in spec.stateful:
-        if isinstance(sf, HasLabel):
-            default = sf.status == "removed" and sf.manual != "yes"
-            sf_vals[sf.name] = np.full(n, default, dtype=bool)
-
     def flags(col: str) -> np.ndarray:
         return pc.fill_null(tbl[col], False).to_numpy(zero_copy_only=False)
 
-    # ---- window features: whole-array scans seeded from the carry --------
-    carry_out: list[tuple[str, list]] = []  # (state key, per-group value | None)
+    sf_vals: dict[str, np.ndarray] = {}
     kv_arrays: dict[str, pa.Array] = {}
+    carry_out: list[tuple[str, list]] = []  # (state key, per-run value | None)
     for sf in spec.stateful:
         if isinstance(sf, (IncrementWindow, WindowCount)):
             # WindowCount is declared before its source window (validated),
@@ -502,15 +482,63 @@ def eval_released(
                     for jj, v, w in zip(j.tolist(), set_vals, wrote.tolist())
                 ]))
         # HasLabel handled by the label pass
-
     if persist:
-        last_turns = turn[ends - 1].tolist()
+        carry_out.append(("last_turn", turn[ends - 1].tolist()))
+    return sf_vals, kv_arrays, carry_out
+
+
+def eval_released(
+    tbl: pa.Table,
+    spec: RuleSpec,
+    rule_plans: list[RulePlan],
+    states: dict,
+    label_store: LabelStore,
+    label_events: dict[str, list] | None = None,
+    persist: bool = True,
+) -> tuple[pa.Table, list[tuple]]:
+    """Evaluate ordered, deduped rows; mutates ``states``/``label_store``.
+
+    Window math reads each conversation's carry from ``states`` (empty for a
+    fresh batch run) and runs as whole-array scans.  ``persist`` writes the
+    advanced carry back into ``states``: streaming shards and salted blocks
+    keep it (the default), batch callers discard it (``persist=False``).
+
+    Returns (execution-results table, applied label mutations
+    [(conv_id, ts_us, label, status)]).
+    """
+    label_events = label_events or {}
+    n = tbl.num_rows
+    hl_feats = [s for s in spec.stateful if isinstance(s, HasLabel)]
+    out_schema_cols = _output_columns(tbl, spec)
+    if n == 0:
+        return _empty_output(tbl, spec), []
+
+    codes, dictionary = _conv_codes(tbl)
+    ts = tbl["ts"].cast(pa.int64()).to_numpy()
+
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    change[1:] = codes[1:] != codes[:-1]
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], n)
+    group_cids = _group_cids(dictionary, codes, starts)
+    carried = _carried(states, group_cids) if states else None
+
+    sf_vals: dict[str, np.ndarray] = {}
+    for sf in spec.stateful:
+        if isinstance(sf, HasLabel):
+            default = sf.status == "removed" and sf.manual != "yes"
+            sf_vals[sf.name] = np.full(n, default, dtype=bool)
+
+    # ---- window features: whole-array scans seeded from the carry --------
+    win_vals, kv_arrays, carry_out = scan_windows(tbl, spec, change, carried, persist)
+    sf_vals.update(win_vals)
+    if persist:
         for gi, cid in enumerate(group_cids):
             st = states.setdefault(cid, {})
             for key, vals in carry_out:
                 if vals[gi] is not None:
                     st[key] = vals[gi]
-            st["last_turn"] = last_turns[gi]
 
     # ---- augmented table + non-label rule values ------------------------
     aug_cols = {name: tbl[name] for name in tbl.column_names}

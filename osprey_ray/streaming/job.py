@@ -639,7 +639,7 @@ class StreamingJob:
         dicts — never rows."""
         if not self.hot_convs:
             return None
-        from osprey_ray.streaming.shard import emit_closed_windows
+        from osprey_ray.streaming.shard import emit_closed_windows, merge_window_partial
         from osprey_ray.rules import SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum
 
         out = {"files": [], "released": 0, "fired": 0, "windows_file": None}
@@ -656,18 +656,7 @@ class StreamingJob:
                 if h["file"]:
                     out["files"].append(h["file"])
                 for key, val in h["win_partials"]:
-                    key = tuple(key)
-                    if key[0] == "t":
-                        if val > self.hot_open_windows.get(key, 0):
-                            self.hot_open_windows[key] = val
-                    else:
-                        cur = self.hot_open_windows.get(key)
-                        if cur is None:
-                            self.hot_open_windows[key] = list(val)
-                        else:
-                            cur[0] = min(cur[0], val[0])
-                            cur[1] = max(cur[1], val[1])
-                            cur[2] = max(cur[2], val[2])
+                    merge_window_partial(self.hot_open_windows, tuple(key), val)
         tumbling = [s for s in spec.stateful if isinstance(s, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct))]
         sessions = [s for s in spec.stateful if isinstance(s, SessionWindow)]
         win_tbl = emit_closed_windows(self.hot_open_windows, tumbling, sessions, watermark)

@@ -67,6 +67,24 @@ def _owned(tbl: pa.Table, num_parts: int, part: int) -> pa.Array:
     return pa.array(keep[codes])
 
 
+def merge_window_partial(acc: dict, key: tuple, val) -> None:
+    """Fold one open-window partial into the accumulator ``acc``.  Running
+    counts are monotone within a window, so a tumbling bucket (``key[0] ==
+    "t"``) keeps the max count and a session ``[start, end, count]`` keeps
+    min start, max end and max count: partials merge associatively."""
+    if key[0] == "t":
+        if val > acc.get(key, 0):
+            acc[key] = val
+        return
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = list(val)
+    else:
+        cur[0] = min(cur[0], val[0])
+        cur[1] = max(cur[1], val[1])
+        cur[2] = max(cur[2], val[2])
+
+
 def emit_closed_windows(
     open_windows: dict, tumbling: list, sessions: list, watermark_us: int
 ) -> pa.Table | None:
@@ -508,9 +526,7 @@ class StateShard:
             order, g_conv, g_bucket, starts = _group_reduce(bucket)
             gmax = np.maximum.reduceat(cnt[order], starts)
             for c, b, k in zip(g_conv, g_bucket, gmax):
-                key = ("t", sf.name, names[c], int(b))
-                if int(k) > acc.get(key, 0):
-                    acc[key] = int(k)
+                merge_window_partial(acc, ("t", sf.name, names[c], int(b)), int(k))
         for sf in self.sessions:
             sid = out[f"{sf.name}__id"].to_numpy()
             cnt = out[f"{sf.name}__count"].to_numpy()
@@ -520,14 +536,9 @@ class StateShard:
             tmax = np.maximum.reduceat(t_o, starts)
             cmax = np.maximum.reduceat(cnt[order], starts)
             for c, s_, lo, hi, k in zip(g_conv, g_sid, tmin, tmax, cmax):
-                key = ("s", sf.name, names[c], int(s_))
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = [int(lo), int(hi), int(k)]
-                else:
-                    cur[0] = min(cur[0], int(lo))
-                    cur[1] = max(cur[1], int(hi))
-                    cur[2] = max(cur[2], int(k))
+                merge_window_partial(
+                    acc, ("s", sf.name, names[c], int(s_)), (int(lo), int(hi), int(k))
+                )
 
     def _emit_closed_windows(self, watermark_us: int) -> pa.Table | None:
         return emit_closed_windows(

@@ -5,6 +5,8 @@ and that the special cases match the reference executors
 (binary_comparison_executor.py:54-65, boolean_operation_executor.py:22-31).
 """
 
+import datetime as dt
+
 import pyarrow as pa
 import pytest
 
@@ -152,3 +154,18 @@ def test_unknown_name_is_expr_error():
     with pytest.raises(ExprError):
         col("nope").eval_row(rctx)
     assert issubclass(UnknownNameError, KeyError)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize(
+    "value",
+    [7, 2.5, "txt", True, [1, 2], ["a", None], dt.datetime(2024, 1, 2, 3, 4, 5), None],
+    ids=["int", "float", "str", "bool", "list", "str_list", "timestamp", "none"],
+)
+def test_lit_eval_batch_matches_per_row_array(value, n):
+    """A literal's batch column is the literal repeated: same type and
+    values as an n-element ``pa.array`` of it (null-typed at zero rows)."""
+    got = lit(value).eval_batch(EvalContext(pa.table({"x": list(range(n))})))
+    want = pa.array([value] * n)
+    assert got.type == want.type
+    assert got.to_pylist() == want.to_pylist()

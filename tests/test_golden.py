@@ -499,7 +499,7 @@ def test_salted_rejects_label_specs(small_data):
         run_batch_salted([], flagship_spec())
 
 
-@pytest.mark.parametrize("block_turns", [3, 7, 50])
+@pytest.mark.parametrize("block_turns", [1, 3, 7, 50])
 @pytest.mark.parametrize("spec_name", ["kitchen_sink_spec", "flagship_sql_spec"])
 def test_salting_protocol_no_ray(small_data, spec_name, block_turns):
     """The carve → scan → seeded-eval protocol in one process: every
@@ -525,6 +525,40 @@ def test_salting_protocol_no_ray(small_data, spec_name, block_turns):
     _cmp_tables(got, want)
     if spec_name == "kitchen_sink_spec":
         assert max(want["ToolsCapped"].to_pylist()) == 3  # the cap saturates
+
+
+@pytest.mark.parametrize("block_turns,k", [(2, 2), (3, 5), (7, 20), (50, 9)])
+@pytest.mark.parametrize("spec_name", ["kitchen_sink_spec", "flagship_sql_spec"])
+def test_salting_from_carry_no_ray(small_data, spec_name, block_turns, k):
+    """Salting resumes from a non-empty carry: the first k turns of every
+    conversation evaluate whole (persist=True), the rest go through carve →
+    scan → seeded eval from that carry.  Outputs equal one-shot evaluation,
+    and the scan's advanced carry equals the one-shot ``states``, value
+    types included."""
+    from osprey_ray.pipelines import flagship
+    from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks, scan_seeds
+    from osprey_ray.stages.stateful import eval_released, sort_and_dedup
+    from osprey_ray.stages.stateless import split_rules
+    from osprey_ray.state.labels import LabelStore
+
+    clean, _ = small_data
+    spec = getattr(flagship, spec_name)()
+    rule_plans = split_rules(spec)
+    tbl = sort_and_dedup(compile_stateless(spec)(clean), {})
+    one_states: dict = {}
+    want, _ = eval_released(tbl, spec, rule_plans, one_states, LabelStore(), {})
+
+    early = pc.less(tbl["turn_idx"], k)
+    carry: dict = {}
+    head, _ = eval_released(tbl.filter(early), spec, rule_plans, carry, LabelStore(), {})
+    rest = tbl.filter(pc.invert(early))
+    cold, held, summaries = carve_hot_blocks(
+        rest, spec, frozenset(clean["conv_id"].to_pylist()), block_turns
+    )
+    assert cold.num_rows == 0 and held
+    tail = eval_seeded_blocks(held, scan_seeds(summaries, carry, spec), spec, rule_plans)
+    _cmp_tables(pa.concat_tables([head, tail], promote_options="default"), want)
+    _assert_states_equal(carry, one_states)
 
 
 def _label_fields_spec():
