@@ -317,7 +317,9 @@ class AbsenceAlert:
 
     ``first`` / ``second`` are stateless Exprs over the turn's columns and
     stage-1 features (state-dependent predicates would make the armed set
-    depend on evaluation order across shards)."""
+    depend on evaluation order across shards).  Tracked, with
+    :class:`FollowedBy`, by the one armed-pattern tracker
+    ``streaming.patterns.track``."""
 
     name: str
     first: Expr
@@ -344,7 +346,9 @@ class FollowedBy:
     released row can pair) — bounded by window × arrival rate.
 
     ``first`` / ``second`` are stateless Exprs over the turn's columns
-    and stage-1 features (same restriction and reason as AbsenceAlert)."""
+    and stage-1 features (same restriction and reason as AbsenceAlert).
+    Tracked, with :class:`AbsenceAlert`, by the one armed-pattern tracker
+    ``streaming.patterns.track``: both carry the same armed-A state."""
 
     name: str
     first: Expr

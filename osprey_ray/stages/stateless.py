@@ -144,25 +144,17 @@ class StatelessStage:
                 out_cols[f"__sfv_{sf.name}"] = _as_array(sf.value.eval_batch(ctx), ctx.n)
             # SessionWindow / HasLabel / WindowCount need no stage-1 predicate
 
-        # absence-timer arm/disarm predicates → hidden bool columns (the
-        # __sf_ prefix keeps them out of the evaluated output); the shard's
-        # tracker reads these instead of re-evaluating the Exprs, so raw
-        # input columns never need to survive stage 1
-        for ab in getattr(spec, "absences", ()):
-            out_cols[f"__sf_ab__{ab.name}__a"] = _bool_operand(
-                _as_array(ab.first.eval_batch(ctx), ctx.n)
-            )
-            out_cols[f"__sf_ab__{ab.name}__b"] = _bool_operand(
-                _as_array(ab.second.eval_batch(ctx), ctx.n)
-            )
-        # followed-by pair predicates ride the same hidden-column contract
-        for fb in getattr(spec, "follows", ()):
-            out_cols[f"__sf_fb__{fb.name}__a"] = _bool_operand(
-                _as_array(fb.first.eval_batch(ctx), ctx.n)
-            )
-            out_cols[f"__sf_fb__{fb.name}__b"] = _bool_operand(
-                _as_array(fb.second.eval_batch(ctx), ctx.n)
-            )
+        # stream-pattern first/second predicates (AbsenceAlert "ab",
+        # FollowedBy "fb") → hidden bool columns (the __sf_ prefix keeps
+        # them out of the evaluated output); the shard's pattern tracker
+        # (streaming/patterns.py) reads these instead of re-evaluating the
+        # Exprs, so raw input columns never need to survive stage 1
+        for kind, pats in (("ab", spec.absences), ("fb", spec.follows)):
+            for p in pats:
+                for side, expr in (("a", p.first), ("b", p.second)):
+                    out_cols[f"__sf_{kind}__{p.name}__{side}"] = _bool_operand(
+                        _as_array(expr.eval_batch(ctx), ctx.n)
+                    )
 
         # rule pre-folds over stateless conjuncts
         for rp in self.rule_plans:

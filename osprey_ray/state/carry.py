@@ -38,7 +38,7 @@ import pyarrow as pa
 
 # written into every checkpoint envelope; a file without it (or with a
 # different one) was written by another engine version and is rejected
-CHECKPOINT_FORMAT = "osprey-arrow-carry/1"
+CHECKPOINT_FORMAT = "osprey-arrow-carry/2"
 
 _INT_KEYS = ("last_turn", "lev", "dseq")
 _DELAYED_FIELDS = ("ts_eff", "seq", "label", "status", "exp", "reason")

@@ -716,15 +716,16 @@ class StreamingJob:
                     "carry": to_ipc(encode_carry(self.hot_states)),
                     "hot_open_windows": self.hot_open_windows,
                 })
+            streams = {
+                key: [s["files"][kind] for s in stats]
+                for kind, key in self._STREAM_KEYS.items()
+            }
+            if hot:
+                streams["outputs"] += hot["files"]
+                streams["window_outputs"].append(hot["windows_file"])
             manifest = dict(
                 metrics,
-                outputs=[s["file"] for s in stats] + (hot["files"] if hot else []),
-                label_outputs=[s.get("labels_file") for s in stats],
-                window_outputs=[s.get("windows_file") for s in stats]
-                + ([hot["windows_file"]] if hot else []),
-                absence_outputs=[s.get("absence_file") for s in stats],
-                pairs_outputs=[s.get("pairs_file") for s in stats],
-                late_outputs=[s.get("late_file") for s in stats],
+                **streams,
                 open_absences=sum(s.get("open_absences", 0) for s in stats),
                 open_pairs=sum(s.get("open_pairs", 0) for s in stats),
                 open_windows=sum(s.get("open_windows", 0) for s in stats)
@@ -815,8 +816,7 @@ class StreamingJob:
             m = self._manifest(e)
             if not m.get("ruleset_hash"):
                 problems.append(f"epoch {e}: missing ruleset_hash")
-            for key in ("outputs", "label_outputs", "window_outputs",
-                        "pairs_outputs", "late_outputs", "absence_outputs"):
+            for key in self._STREAM_KEYS.values():
                 for f in m.get(key) or []:
                     if f and not os.path.exists(os.path.join(self.data_dir, f)):
                         problems.append(f"epoch {e}: missing {key} file {f}")
@@ -854,9 +854,9 @@ class StreamingJob:
         "results": "outputs",
         "labels": "label_outputs",
         "windows": "window_outputs",
+        "absence": "absence_outputs",
         "pairs": "pairs_outputs",
         "late": "late_outputs",
-        "absence": "absence_outputs",
     }
 
     def committed_files(self, kind: str = "results") -> list[str]:
@@ -916,11 +916,11 @@ class StreamingJob:
         static for the fixed-layout streams, derived by dry-running the
         eval path on an empty slice for the spec-dependent ones."""
         if kind == "absence":
-            from osprey_ray.streaming.absence import ALERT_SCHEMA
+            from osprey_ray.streaming.patterns import ALERT_SCHEMA
 
             return ALERT_SCHEMA
         if kind == "pairs":
-            from osprey_ray.streaming.follow import PAIR_SCHEMA
+            from osprey_ray.streaming.patterns import PAIR_SCHEMA
 
             return PAIR_SCHEMA
         if kind == "windows":

@@ -33,6 +33,7 @@ k+1 happens after turn k) — the cross-epoch dedup guard relies on it.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import zlib
@@ -52,6 +53,7 @@ from osprey_ray.state.carry import (
     decode_carry, encode_carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint,
 )
 from osprey_ray.state.labels import LabelStore
+from osprey_ray.streaming.patterns import spec_patterns, track
 
 I64_MIN = np.iinfo(np.int64).min
 
@@ -65,6 +67,18 @@ def _owned(tbl: pa.Table, num_parts: int, part: int) -> pa.Array:
         dtype=bool,
     )
     return pa.array(keep[codes])
+
+
+def _fired(out: pa.Table | None) -> int:
+    """Rows of an evaluated slice with at least one verdict."""
+    if out is None or "__verdicts" not in out.column_names:
+        return 0
+    return int(
+        pc.sum(
+            pc.cast(pc.greater(pc.list_value_length(out["__verdicts"]), 0), pa.int64())
+        ).as_py()
+        or 0
+    )
 
 
 def merge_window_partial(acc: dict, key: tuple, val) -> None:
@@ -193,13 +207,12 @@ class StateShard:
         #   ("t", feature, conv_id, bucket_start_us) -> count
         #   ("s", feature, conv_id, session_id) -> [start_us, end_us, count]
         self.open_windows: dict[tuple, list | int] = {}
-        # armed absence timers (rules.AbsenceAlert), fired when the
-        # watermark passes their deadline:
-        #   (pattern, conv_id) -> sorted int64 array of armed first-ts
-        self.absences = list(getattr(spec, "absences", []))
-        self.pending_absences: dict[tuple, np.ndarray] = {}
-        self.follows = list(getattr(spec, "follows", []))
-        self.pending_pairs: dict[tuple, np.ndarray] = {}
+        # armed A's of the stream patterns (rules.AbsenceAlert /
+        # FollowedBy, streaming/patterns.py), expired when the watermark
+        # passes a + W:
+        #   (kind, pattern, conv_id) -> sorted int64 array of armed a_ts
+        self.patterns = spec_patterns(spec)
+        self.armed: dict[tuple, np.ndarray] = {}
         self.late_output = late_output
         # idle-conversation state eviction horizon (validated job-side:
         # only time-bounded specs, ttl >= lateness and >= every feature
@@ -219,8 +232,9 @@ class StateShard:
         re-expressed as a driver-coordinated boundary swap — actor FIFO
         ordering guarantees the swap lands between ``process`` calls).
         Per-conversation carry state survives the swap; open window
-        accumulators whose feature left the spec are dropped (their gap
-        config is gone, so they could never close)."""
+        accumulators and armed pattern state whose feature or pattern left
+        the spec are dropped (their window config is gone, so they could
+        never close)."""
         from osprey_ray.rules import SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum
 
         self.spec = spec
@@ -231,16 +245,10 @@ class StateShard:
         self.open_windows = {
             k: v for k, v in self.open_windows.items() if k[1] in live
         }
-        self.absences = list(getattr(spec, "absences", []))
-        live_ab = {a.name for a in self.absences}
-        self.pending_absences = {
-            k: v for k, v in self.pending_absences.items() if k[0] in live_ab
-        }
-        self.follows = list(getattr(spec, "follows", []))
-        live_fb = {f.name for f in self.follows}
-        self.pending_pairs = {
-            k: v for k, v in self.pending_pairs.items() if k[0] in live_fb
-        }
+        self.patterns = spec_patterns(spec)
+        # a watermark that expires nothing: drops only the armed state of
+        # patterns that left the spec
+        track(self.armed, None, self.patterns, I64_MIN)
         return True
 
     def process(
@@ -312,30 +320,18 @@ class StateShard:
         if sum(t.num_rows for t in self.pending) > self.pending_spill_rows:
             self._spill_pending()
 
-        out_rows = 0
-        fired = 0
-        out_path = None
-        labels_path = None
-        pair_tbl = None
+        out = labels_tbl = late_tbl = win_tbl = None
         hot_summaries: list = []
-        failures: dict[str, str] = {}
         if released is not None and released.num_rows:
             released = sort_and_dedup(released, self.states)
-            if self.absences:
-                # arm/disarm timers on the full released slice BEFORE hot
-                # carving — absence tracking only needs (conv, ts,
-                # stateless masks), and the whole conversation routes to
-                # this shard (AbsenceAlert + hot_convs sub-key routing is
-                # rejected at job construction)
-                from osprey_ray.streaming.absence import track_slice
-
-                track_slice(self.pending_absences, released, self.absences)
-            if self.follows:
-                from osprey_ray.streaming.follow import track_slice_pairs
-
-                pair_tbl = track_slice_pairs(
-                    self.pending_pairs, released, self.follows, watermark_us
-                )
+        else:
+            released = None
+        # arm/match/expire the stream patterns on the full released slice
+        # BEFORE hot carving — they only need (conv, ts, stateless masks),
+        # and the whole conversation routes to this shard (AbsenceAlert +
+        # hot_convs sub-key routing is rejected at job construction)
+        pair_tbl, alert_tbl = track(self.armed, released, self.patterns, watermark_us)
+        if released is not None:
             if self.hot_convs:
                 # hold this shard's routed hot blocks until the driver's
                 # scan seeds them (eval_held_blocks)
@@ -347,25 +343,13 @@ class StateShard:
             out, muts = eval_released(
                 released, self.spec, self.rule_plans, self.states, self.labels, self.label_events
             )
-            out_rows = out.num_rows
             if self.state_ttl_us is not None and released.num_rows:
                 self._touch_and_evict(released, watermark_us)
-            if "__verdicts" in out.column_names:
-                fired = int(
-                    pc.sum(
-                        pc.cast(pc.greater(pc.list_value_length(out["__verdicts"]), 0), pa.int64())
-                    ).as_py()
-                    or 0
-                )
-            if write and out_rows:
-                out_path = self._guarded_write(
-                    "results", lambda: self._write_atomic(epoch, out), failures
-                )
             self._accumulate_windows(out)
-            if write and muts:
+            if muts:
                 # externalized label-mutation stream (the Label output sink,
                 # output_sink.py:156-350 → FIXTURES.md F4 manifest contract)
-                mt = pa.table(
+                labels_tbl = pa.table(
                     {
                         "conv_id": pa.array([m[0] for m in muts], pa.string()),
                         "ts": pa.array([m[1] for m in muts], pa.timestamp("us")),
@@ -377,55 +361,23 @@ class StateShard:
                         "reason": pa.array([m[4] for m in muts], pa.string()),
                     }
                 )
-                labels_path = self._guarded_write(
-                    "labels",
-                    lambda: self._write_atomic(epoch, mt, prefix="labels"),
-                    failures,
-                )
-        if self.follows and pair_tbl is None and (released is None or not released.num_rows):
-            from osprey_ray.streaming.follow import track_slice_pairs
-
-            pair_tbl = track_slice_pairs(
-                self.pending_pairs, pa.table({}), self.follows, watermark_us
-            )
-        late_path = None
-        if late_parts and write:
+        if late_parts:
             late_tbl = pa.concat_tables(late_parts).sort_by(
                 [("conv_id", "ascending"), ("turn_idx", "ascending"),
                  ("ts", "ascending")]
             )
-            late_path = self._guarded_write(
-                "late",
-                lambda: self._write_atomic(epoch, late_tbl, prefix="late"),
-                failures,
-            )
-        pairs_path = None
-        if pair_tbl is not None and write:
-            pairs_path = self._guarded_write(
-                "pairs",
-                lambda: self._write_atomic(epoch, pair_tbl, prefix="pairs"),
-                failures,
-            )
-        windows_path = None
         if self.tumbling or self.sessions:
             win_tbl = self._emit_closed_windows(watermark_us)
-            if write and win_tbl is not None:
-                windows_path = self._guarded_write(
-                    "windows",
-                    lambda: self._write_atomic(epoch, win_tbl, prefix="windows"),
-                    failures,
-                )
-        absence_path = None
-        if self.absences:
-            from osprey_ray.streaming.absence import emit_due_specs
-
-            ab_tbl = emit_due_specs(
-                self.pending_absences, self.absences, watermark_us
-            )
-            if write and ab_tbl is not None:
-                absence_path = self._guarded_write(
-                    "absence",
-                    lambda: self._write_atomic(epoch, ab_tbl, prefix="absence"),
+        streams = {"results": out, "labels": labels_tbl, "late": late_tbl,
+                   "pairs": pair_tbl, "windows": win_tbl, "absence": alert_tbl}
+        files: dict[str, str | None] = {}
+        failures: dict[str, str] = {}
+        for kind, tbl in streams.items():
+            files[kind] = None
+            if write and tbl is not None and tbl.num_rows:
+                prefix = "part" if kind == "results" else kind
+                files[kind] = self._guarded_write(
+                    kind, functools.partial(self._write_atomic, epoch, tbl, prefix=prefix),
                     failures,
                 )
         if failures:
@@ -436,25 +388,16 @@ class StateShard:
         return {
             "part": self.part,
             "epoch": epoch,
-            "released": out_rows,
-            "fired": fired,
+            "released": out.num_rows if out is not None else 0,
+            "fired": _fired(out),
             "late_dropped": late_dropped,
             "pending": sum(t.num_rows for t in self.pending)
             + sum(f["rows"] for f in self.spilled),
             "pending_spilled_rows": sum(f["rows"] for f in self.spilled),
-            "file": out_path,
-            "labels_file": labels_path,
-            "windows_file": windows_path,
-            "pairs_file": pairs_path,
-            "late_file": late_path,
-            "absence_file": absence_path,
+            "files": files,
             "open_windows": len(self.open_windows),
-            "open_absences": int(
-                sum(len(v) for v in self.pending_absences.values())
-            ),
-            "open_pairs": int(
-                sum(len(v) for v in self.pending_pairs.values())
-            ),
+            "open_absences": sum(len(v) for k, v in self.armed.items() if k[0] == "ab"),
+            "open_pairs": sum(len(v) for k, v in self.armed.items() if k[0] == "fb"),
             "hot_summaries": hot_summaries,
         }
 
@@ -473,20 +416,12 @@ class StateShard:
                     "win_partials": []}
         partials: dict = {}
         self._accumulate_windows(out, into=partials)
-        fired = 0
-        if "__verdicts" in out.column_names:
-            fired = int(
-                pc.sum(
-                    pc.cast(pc.greater(pc.list_value_length(out["__verdicts"]), 0), pa.int64())
-                ).as_py()
-                or 0
-            )
         path = self._write_atomic(epoch, out, prefix="hot") if write else None
         return {
             "part": self.part,
             "file": path,
             "released": out.num_rows,
-            "fired": fired,
+            "fired": _fired(out),
             "win_partials": list(partials.items()),
         }
 
@@ -654,9 +589,9 @@ class StateShard:
         the carry ``states`` as one Arrow table (``state.carry`` codec) and
         each pending table as Arrow IPC under its own schema, inside a
         pickled envelope with the small members (labels, open windows,
-        armed timers, watermark, spill list).  Returns the path, the spill
-        files this snapshot no longer references, and the snapshot's bytes
-        and seconds."""
+        armed pattern state, watermark, spill list).  Returns the path, the
+        spill files this snapshot no longer references, and the snapshot's
+        bytes and seconds."""
         t0 = time.perf_counter()
         os.makedirs(ckpt_dir, exist_ok=True)
         path = os.path.join(ckpt_dir, f"state-e{epoch:05d}-p{self.part:04d}.pkl")
@@ -667,8 +602,7 @@ class StateShard:
             "labels": self.labels.snapshot(),
             "watermark": self.watermark,
             "open_windows": self.open_windows,
-            "pending_absences": self.pending_absences,
-            "pending_pairs": self.pending_pairs,
+            "armed": self.armed,
             "spilled": self.spilled,
             "spill_seq": self._spill_seq,
         })
@@ -706,8 +640,7 @@ class StateShard:
 
         self.states, self.open_windows = {}, {}
         self.last_seen = {}
-        self.pending_absences = {}
-        self.pending_pairs = {}
+        self.armed = {}
         lab_entries: list = []
         pend: list[pa.Table] = []
         wm = None
@@ -722,15 +655,9 @@ class StateShard:
             self.open_windows.update(
                 {k: w for k, w in payload["open_windows"].items() if mine(k[1])}
             )
-            # armed absence timers re-deal by conv like windows; keys are
-            # (pattern, conv_id) and unique across old shards
-            self.pending_absences.update(
-                {k: v for k, v in payload["pending_absences"].items() if mine(k[1])}
-            )
-            # armed pair state re-deals identically; keys (pattern, conv)
-            self.pending_pairs.update(
-                {k: v for k, v in payload["pending_pairs"].items() if mine(k[1])}
-            )
+            # armed pattern state re-deals by conv like windows; keys are
+            # (kind, pattern, conv_id) and unique across old shards
+            self.armed.update({k: v for k, v in payload["armed"].items() if mine(k[2])})
             lab_entries.extend(e for e in payload["labels"] if mine(e[0]))
             tables = [from_ipc(b) for b in payload["pending"]]
             # old spill files are absorbed here and intentionally NOT
@@ -785,8 +712,7 @@ class StateShard:
         self.labels = LabelStore.restore(payload["labels"])
         self.watermark = payload["watermark"]
         self.open_windows = payload["open_windows"]
-        self.pending_absences = payload["pending_absences"]
-        self.pending_pairs = payload["pending_pairs"]
+        self.armed = payload["armed"]
         self.spilled = payload["spilled"]
         self._spill_seq = payload["spill_seq"]
         self._consumed_spills = []

@@ -172,14 +172,20 @@ def test_carry_codec_empty_and_unknown_key():
 
 
 def test_pre_arrow_snapshot_rejected(tmp_path):
-    """A snapshot in the old pickled-dict layout fails loudly, naming the
-    format it expected."""
+    """A snapshot in an older layout — the pickled-dict one, or the first
+    Arrow envelope with its two pattern-state members — fails loudly,
+    naming the format it expected."""
     path = tmp_path / "state-e00000-p0000.pkl"
-    with open(path, "wb") as f:
-        pickle.dump({"states": {}, "pending": [], "pending_schema": None,
-                     "watermark": 0, "labels": []}, f)
     sh = Shard(flagship.flagship_sql_spec(), 0, str(tmp_path / "data"), {})
-    with pytest.raises(ValueError, match=CHECKPOINT_FORMAT):
-        sh.restore(str(path))
-    with pytest.raises(ValueError, match=CHECKPOINT_FORMAT):
-        sh.restore_resharded([str(path)], 2)
+    for payload in (
+        {"states": {}, "pending": [], "pending_schema": None, "watermark": 0, "labels": []},
+        {"format": "osprey-arrow-carry/1", "carry": b"", "pending": [], "last_seen": {},
+         "labels": [], "watermark": 0, "open_windows": {}, "pending_absences": {},
+         "pending_pairs": {}, "spilled": [], "spill_seq": 0},
+    ):
+        with open(path, "wb") as f:
+            pickle.dump(payload, f)
+        with pytest.raises(ValueError, match=CHECKPOINT_FORMAT):
+            sh.restore(str(path))
+        with pytest.raises(ValueError, match=CHECKPOINT_FORMAT):
+            sh.restore_resharded([str(path)], 2)

@@ -864,7 +864,7 @@ def test_absence_stream_matches_bruteforce(stream_data, tmp_path):
     the batch twin."""
     import pyarrow as pa
 
-    from osprey_ray.streaming.absence import absence_stream_batch
+    from osprey_ray.streaming.patterns import absence_stream_batch
 
     segs, lmap, full = stream_data
     spec = _absence_spec()
@@ -902,7 +902,7 @@ def test_absence_cross_epoch_cancellation_and_boundaries(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq_
 
-    from osprey_ray.streaming.absence import absence_stream_batch
+    from osprey_ray.streaming.patterns import absence_stream_batch
 
     W = 600.0
     US = 1_000_000
@@ -1320,7 +1320,7 @@ def test_committed_dataset_excludes_orphan_files(stream_data, tmp_path):
     # empty and non-empty cases are SCHEMA-IDENTICAL (ADVICE r4): an empty
     # stream's dataset carries the stream's real schema, and the
     # spec-dependent results schema matches the committed files exactly
-    from osprey_ray.streaming.follow import PAIR_SCHEMA
+    from osprey_ray.streaming.patterns import PAIR_SCHEMA
 
     assert job.committed_dataset("pairs").schema().base_schema == PAIR_SCHEMA
     fresh = StreamingJob(

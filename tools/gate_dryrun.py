@@ -8,6 +8,7 @@ Defaults to /root/testdata/sf0.01 (the driver's gate scale); writes a
 per-query JSON summary next to stdout at /tmp/gate_dryrun.json."""
 import json
 import math
+import os
 import sys
 import time
 
@@ -16,7 +17,10 @@ import numpy as np
 import pandas as pd
 import ray
 
-ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
+# size the local cluster to the CPUs this process may run on, so Ray does
+# not start a worker pool for cores the host does not give it
+ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+         include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False
