@@ -122,15 +122,15 @@ def _flagship_salted(sf_dir: str):
 
     import pyarrow as pa
 
-    from osprey_ray.pipelines.flagship import flagship_sql_spec
-    from osprey_ray.stages.salted import run_batch_salted
+    from osprey_ray.pipelines.flagship import flagship_sql_spec, run_batch_exchange
+    from osprey_ray.stages.salted import detect_hot_convs
 
     d = _transcript_dataset(sf_dir)
     files = sorted(glob.glob(f"{d}/batch/*.parquet"))
     # threshold below the planted whales' sizes so they actually salt
-    out = run_batch_salted(
-        files, flagship_sql_spec(), num_partitions=32,
-        block_turns=4096, hot_threshold=5000,
+    out = run_batch_exchange(
+        files, flagship_sql_spec(), {}, num_partitions=32,
+        hot_convs=detect_hot_convs(files, 5000), block_turns=4096,
     )
     cols = {}
     for c in _FLAGSHIP_SQL_COLS:

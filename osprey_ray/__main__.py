@@ -6,12 +6,14 @@ one-shot job over parquet — the surface a user points at files:
 
     python -m osprey_ray --rules examples/rules/main.sml \
         --input /data/turns --output /tmp/out \
-        [--labels /data/label_events.parquet] \
-        [--streaming --rows-per-epoch 100000] [--num-partitions 64]
+        [--labels /data/label_events.parquet] [--num-partitions 64]
 
 Writes two partitioned parquet datasets under --output:
   results/   one row per deduped turn (features, rule booleans, __verdicts)
   verdicts/  the fired-verdict stream only (conv_id, turn_idx, verdict)
+
+The streaming engine (epochs, manifests, resume, fsck) has its own runner,
+``python -m osprey_ray.streaming.run``.
 
 This script OWNS the Ray session (guarded init — the library never calls
 ray.init); exit code 1 on SML validation errors, with positioned messages.
@@ -35,9 +37,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="directory of testdata-shaped parquet tables for --query")
     p.add_argument("--labels", default=None, help="optional label-events parquet")
     p.add_argument("--num-partitions", type=int, default=64)
-    p.add_argument("--streaming", action="store_true",
-                   help="run the streaming engine (epochs + manifests) instead of batch")
-    p.add_argument("--rows-per-epoch", type=int, default=None)
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init(num_cpus=...) when this script owns the session")
     args = p.parse_args(argv)
@@ -88,28 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     lmap = label_events_map(pq.read_table(args.labels)) if args.labels else None
-
-    if args.streaming:
-        import glob
-        import os
-
-        from osprey_ray.streaming.job import StreamingJob
-
-        segs = (
-            sorted(glob.glob(os.path.join(args.input, "*.parquet")))
-            if os.path.isdir(args.input)
-            else [args.input]
-        )
-        job = StreamingJob(
-            spec=spec,
-            segment_files=segs,
-            out_dir=args.output,
-            label_events=lmap,
-            rows_per_epoch=args.rows_per_epoch,
-        )
-        job.run()
-        print(f"streaming run complete: {args.output}")
-        return 0
 
     ds = rd.read_parquet(args.input)
     res = run_batch(ds, spec, lmap, num_partitions=args.num_partitions)

@@ -31,11 +31,12 @@ Two physical layouts are written:
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from osprey_ray.stages.stateful import _conv_codes, route_keys
 
 VOCAB = np.array(
     "the quick brown fox jumps over lazy dog pack my box with five dozen liquor jugs "
@@ -61,23 +62,6 @@ LABELS = np.array(["spam_suspect", "recently_flagged", "verified"])
 LABEL_STATUS = np.array(["added", "removed", "manually_added", "manually_removed"])
 
 BASE_TS_US = np.int64(1_700_000_000_000_000)  # 2023-11-14T22:13:20Z in µs
-
-
-def conv_partition(conv_ids, num_parts: int) -> np.ndarray:
-    """Stable hash partition of conv_id strings (crc32, not Python hash).
-    Accepts a numpy array or an Arrow array; dictionary-encodes so only
-    unique ids are hashed in Python."""
-    if isinstance(conv_ids, np.ndarray):
-        conv_ids = pa.array(conv_ids)
-    if isinstance(conv_ids, pa.ChunkedArray):
-        conv_ids = conv_ids.combine_chunks()
-    enc = conv_ids.dictionary_encode()
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    parts = np.array(
-        [zlib.crc32(c.encode()) % num_parts for c in enc.dictionary.to_pylist()],
-        dtype=np.int32,
-    )
-    return parts[codes]
 
 
 def _join_words(idx: np.ndarray) -> np.ndarray:
@@ -125,7 +109,7 @@ def generate_transcripts(
         [10_000] if num_turns >= 50_000 else []
     )
     if whale_turns is not None:
-        # explicit skew fixture (bench --skew): ONE whale of exactly this
+        # explicit skew fixture: ONE whale of exactly this
         # size, uncapped — e.g. 10%% of all turns in a single conversation
         hot_sizes = [whale_turns]
         lens.append(int(whale_turns))
@@ -305,7 +289,8 @@ def write_dataset(
 
     # batch layout: hash(conv_id) partitioned, no _arrival_us.  One stable
     # argsort by partition + contiguous slices — O(n log n), not O(P·n)
-    parts = conv_partition(tbl["conv_id"], num_batch_parts)
+    codes, dictionary = _conv_codes(tbl)
+    parts = route_keys(dictionary.to_pylist(), num_batch_parts)[codes]
     clean = tbl.drop_columns(["_arrival_us"])
     order = np.argsort(parts, kind="stable")
     clean = clean.take(pa.array(order))
@@ -346,19 +331,3 @@ def ensure_dataset(num_turns: int, seed: int = 42, root: str = "/tmp/osprey_ray_
     parts = int(np.clip(num_turns // 25_000, 16, 128))
     out = os.path.join(root, f"turns{num_turns}_seed{seed}")
     return write_dataset(out, num_turns, seed, num_batch_parts=parts, num_stream_segments=parts)
-
-
-def ensure_skewed_dataset(
-    num_turns: int, seed: int = 42, whale_frac: float = 0.1,
-    root: str = "/tmp/osprey_ray_data",
-) -> str:
-    """Skew fixture (bench --skew / VERDICT r1 item #3): one conversation
-    holds ``whale_frac`` of ALL turns — the adversarial case for whole-key
-    partitioning that hot-conversation salting exists to fix."""
-    whale = int(num_turns * whale_frac)
-    parts = int(np.clip(num_turns // 25_000, 16, 128))
-    out = os.path.join(root, f"turns{num_turns}_seed{seed}_whale{whale}")
-    return write_dataset(
-        out, num_turns, seed, num_batch_parts=parts, num_stream_segments=parts,
-        whale_turns=whale,
-    )

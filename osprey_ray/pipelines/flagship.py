@@ -16,15 +16,17 @@ scale set it to a small multiple of total cores.
 
 Two equivalent physical plans (byte-identical output, tested):
 ``run_batch`` (pure Dataset API above) and ``run_batch_exchange`` (the same
-stages as an explicit task exchange: min(M, P) read tasks over M files,
-each reading a contiguous run of files, × P partition tasks — faster at
-small/medium shuffle sizes where Ray Data's sort-based groupby fixed cost
-dominates).
+stages as an explicit task exchange: at most P read tasks, each reading a
+contiguous run of row-group chunks in file order, × P partition tasks —
+faster at small/medium shuffle sizes where Ray Data's sort-based groupby
+fixed cost dominates).  ``run_batch_exchange(hot_convs=...)`` is also the
+salted batch engine: hot conversations route by turn-block sub-key and
+evaluate block-parallel (stages/salted.py), byte-equal to the unsalted run.
 """
 
 from __future__ import annotations
 
-import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,15 @@ from osprey_ray.rules import (
     WhenRules,
     WindowCount,
 )
-from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks, scan_seeds
+from osprey_ray.stages.salted import (
+    HOT_BLOCK_TURNS,
+    carve_hot_blocks,
+    check_hot_routing,
+    eval_seeded_blocks,
+    scan_seeds,
+)
 from osprey_ray.stages.stateless import compile_stateless
-from osprey_ray.stages.stateful import StatefulPartitionEval
+from osprey_ray.stages.stateful import StatefulPartitionEval, _conv_codes, route_keys
 from osprey_ray.expr import fn
 
 
@@ -201,26 +209,19 @@ def flagship_sql_spec() -> RuleSpec:
 
 
 class AssignPartition:
-    """Add ``__part = crc32(conv_id) % P`` (stable across processes — never
-    Python ``hash``).  Salting hot conversations would append a sub-key
-    here; the stateful stage's window state is associative only for counts,
-    so we keep whole conversations together and rely on P ≫ cores for
-    balance (SURVEY §4 skew row)."""
+    """Add ``__part``, the conversation's route (``stateful.route_keys``).
+    Salting hot conversations would append a sub-key here; the stateful
+    stage's window state is associative only for counts, so we keep whole
+    conversations together and rely on P ≫ cores for balance (SURVEY §4
+    skew row)."""
 
     def __init__(self, num_partitions: int):
         self.p = num_partitions
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        col = tbl["conv_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        enc = col if pa.types.is_dictionary(col.type) else col.dictionary_encode()
-        dict_parts = np.array(
-            [zlib.crc32(c.encode()) % self.p for c in enc.dictionary.to_pylist()],
-            dtype=np.int32,
-        )
-        out = dict_parts[enc.indices.to_numpy(zero_copy_only=False)]
-        return tbl.append_column("__part", pa.array(out))
+        codes, dictionary = _conv_codes(tbl)
+        parts = route_keys(dictionary.to_pylist(), self.p)[codes]
+        return tbl.append_column("__part", pa.array(parts))
 
 
 def label_events_map(tbl: pa.Table | None) -> dict[str, list]:
@@ -266,48 +267,66 @@ def run_batch_exchange(
     label_events: dict[str, list] | None = None,
     num_partitions: int = 64,
     write_dir: str | None = None,
-    resume: bool = False,
+    hot_convs: Iterable[str] = (),
+    block_turns: int = HOT_BLOCK_TURNS,
 ) -> pa.Table | list:
     """Performance path: the same read → stateless → hash-exchange →
     stateful plan expressed as an explicit task graph instead of
     ``groupby('__part').map_groups`` — Ray Data's sort-based groupby carries
     a fixed all-to-all sort cost that dominates at small-to-medium shuffle
     sizes (measured 6.7s vs 2.3s on 600k rows / 32 CPUs; both paths produce
-    byte-identical output, tested).  min(M, P) read tasks over the M
-    files — each a contiguous run of files in file order, so no task pays
-    the per-task and stage-1 fixed costs once per file — × P partition
-    evaluators, object-store exchange — exactly the shuffle a multi-node
-    cluster runs.  Every partition receives its rows in file order, so the
-    output does not depend on the grouping.
+    byte-identical output, tested).  One read chunk per Parquet row group
+    (a single-row-group file stays one whole-file chunk), dealt into at
+    most P read tasks, each a contiguous run of chunks in file order, so no
+    task pays the per-task and stage-1 fixed costs once per file — × P
+    partition evaluators, object-store exchange — exactly the shuffle a
+    multi-node cluster runs.  Every partition receives its rows in file
+    order, so the output does not depend on the grouping.
 
-    Returns the concatenated execution-results Table, or per-partition
-    output file paths when ``write_dir`` is given (partitioned, resumable
-    layout: one file per partition; writes are atomic tmp+rename).
+    ``hot_convs`` salts those conversations (stages/salted.py): they route
+    by ``conv_id#(turn_idx // block_turns)`` and evaluate block-parallel
+    with the carve → scan → seeded-eval protocol, byte-equal to the
+    unsalted run; label-dependent specs are rejected.  Row-group chunks
+    matter here: a whale concentrates in one file of a conv-hash layout,
+    and whole-file reads would serialize its stage-1 kernels on one core.
 
-    ``resume=True`` (only with ``write_dir``) skips partitions whose
-    output file already exists — a killed run reruns only the missing
-    partitions.  Explicit opt-in, not the default: the caller asserts the
-    existing files came from the SAME input+spec (partition files carry no
-    lineage; the streaming engine's manifests do — use that path when
-    lineage must be machine-checked).
-    """
-    import os
+    Returns the concatenated execution-results Table, or the written file
+    paths when ``write_dir`` is given: ``part-{p:05d}.parquet`` per
+    partition, plus ``part-{p:05d}-hot.parquet`` for a partition's salted
+    blocks; every write is atomic (tmp + rename)."""
+    import pyarrow.parquet as pq
 
-    done: dict[int, str] = {}
-    if resume:
-        assert write_dir is not None, "resume requires write_dir"
-        for p in range(num_partitions):
-            path = os.path.join(write_dir, f"part-{p:05d}.parquet")
-            if os.path.exists(path):
-                done[p] = path
-        if len(done) == num_partitions:  # nothing to do — don't even schedule the reads
-            return [done[p] for p in range(num_partitions)]
     from osprey_ray.streaming.job import _read_groups
 
+    spec = spec or flagship_spec()
+    hot = frozenset(hot_convs)
+    if hot:
+        check_hot_routing(spec)
+    chunks = []
+    for f in parquet_files:
+        n = pq.ParquetFile(f).num_row_groups
+        chunks += [(f, [i]) for i in range(n)] if n > 1 else [f]
     return _run_exchange(
-        _read_groups(parquet_files, num_partitions), spec or flagship_spec(),
-        label_events or {}, num_partitions, write_dir, done,
+        _read_groups(chunks, num_partitions), spec, label_events or {},
+        num_partitions, write_dir, hot, block_turns,
     )
+
+
+def _emit(out: pa.Table | None, write_dir: str | None, name: str):
+    """``out`` itself, or — with a ``write_dir`` — written atomically as
+    ``write_dir/name`` and returned as its path."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    if write_dir is None or out is None:
+        return out
+    os.makedirs(write_dir, exist_ok=True)
+    path = os.path.join(write_dir, name)
+    tmp = path + f".tmp.{os.getpid()}"
+    pq.write_table(out, tmp)
+    os.replace(tmp, path)
+    return path
 
 
 @ray.remote(num_returns=3)
@@ -316,10 +335,6 @@ def _eval_partition(part, tables, spec, rule_plans, lmap, write_dir, hot, block_
     blocks (stages/salted.py), evaluate the cold rows in one pass.
     Returns (output table | written path | None, block summaries, held
     blocks)."""
-    import os
-
-    import pyarrow.parquet as pq
-
     from osprey_ray.stages.stateful import eval_released, sort_and_dedup
     from osprey_ray.state.labels import LabelStore
 
@@ -335,17 +350,14 @@ def _eval_partition(part, tables, spec, rule_plans, lmap, write_dir, hot, block_
     tbl = sort_and_dedup(tbl, states)
     tbl, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
     out, _ = eval_released(tbl, spec, rule_plans, states, LabelStore(), lmap, persist=False)
-    if write_dir is not None:
-        os.makedirs(write_dir, exist_ok=True)
-        path = os.path.join(write_dir, f"part-{part:05d}.parquet")
-        tmp = path + f".tmp.{os.getpid()}"
-        pq.write_table(out, tmp)
-        os.replace(tmp, path)
-        return path, summaries, held
-    return out, summaries, held
+    return _emit(out, write_dir, f"part-{part:05d}.parquet"), summaries, held
 
 
-_eval_held = ray.remote(eval_seeded_blocks)
+@ray.remote
+def _eval_held(part, held, seeds, spec, rule_plans, write_dir):
+    """One partition's held hot blocks, each from its scanned seed."""
+    out = eval_seeded_blocks(held, seeds, spec, rule_plans)
+    return _emit(out, write_dir, f"part-{part:05d}-hot.parquet")
 
 
 def _run_exchange(
@@ -354,109 +366,49 @@ def _run_exchange(
     label_events: dict,
     num_partitions: int,
     write_dir: str | None = None,
-    done: dict | None = None,
     hot: frozenset = frozenset(),
-    block_turns: int = 1,
+    block_turns: int = HOT_BLOCK_TURNS,
 ) -> pa.Table | list:
-    """The batch exchange plan shared by ``run_batch_exchange`` and
-    ``stages.salted.run_batch_salted``: one ``_read_route`` task per
+    """``run_batch_exchange``'s task graph: one ``_read_route`` task per
     element of ``reads`` (a list of segment chunks), one partition task per
-    partition not in ``done``.  With a ``hot`` set the route splits hot
-    conversations by ``conv#(turn_idx // block_turns)``, the partition
-    tasks carve their blocks, the driver scans the block summaries, and
-    one seeded-eval task runs per partition that holds blocks."""
+    partition.  With a ``hot`` set the route splits hot conversations by
+    ``conv#(turn_idx // block_turns)``, the partition tasks carve their
+    blocks, the driver scans the block summaries, and one seeded-eval task
+    runs per partition that holds blocks."""
     from osprey_ray.stages.stateless import split_rules
     from osprey_ray.streaming.job import _read_route
 
     P = num_partitions
-    done = done or {}
     stage1 = compile_stateless(spec)
     rule_plans = split_rules(spec)
     routed = [
         _read_route.options(num_returns=P + 1).remote(r, stage1, P, hot or None, block_turns)
         for r in reads
     ]
-    parts = {
-        p: _eval_partition.remote(
+    parts = [
+        _eval_partition.remote(
             p, [r[p] for r in routed], spec, rule_plans, label_events, write_dir,
             hot, block_turns,
         )
         for p in range(P)
-        if p not in done
-    }
+    ]
     seeded = []
     if hot:
-        summaries = dict(zip(parts, ray.get([parts[p][1] for p in parts])))
-        seeds = scan_seeds([s for ss in summaries.values() for s in ss], {}, spec)
+        summaries = ray.get([s for _o, s, _h in parts])
+        seeds = scan_seeds([s for ss in summaries for s in ss], {}, spec)
         seeded = [
             _eval_held.remote(
-                parts[p][2], {(c, b): seeds[(c, b)] for c, b, _t, _s in ss},
-                spec, rule_plans,
+                p, parts[p][2], {(c, b): seeds[(c, b)] for c, b, _t, _s in ss},
+                spec, rule_plans, write_dir,
             )
-            for p, ss in summaries.items()
+            for p, ss in enumerate(summaries)
             if ss
         ]
-    fresh = dict(zip(parts, ray.get([parts[p][0] for p in parts])))
+    outs = [o for o in ray.get([o for o, _s, _h in parts] + seeded) if o is not None]
     if write_dir is not None:
-        return [
-            done.get(p) or fresh.get(p)
-            for p in range(P)
-            if (done.get(p) or fresh.get(p)) is not None
-        ]
-    outs = [o for o in list(fresh.values()) + ray.get(seeded) if o is not None and o.num_rows]
+        return outs
+    outs = [o for o in outs if o.num_rows]
     return pa.concat_tables(outs, promote_options="default") if outs else pa.table({})
-
-
-def bulk_label(
-    results: "ray.data.Dataset",
-    rule_name: str,
-    min_fires: int,
-    label: str,
-    expires_after: float | None = None,
-) -> pa.Table:
-    """Bulk-label batch job (SURVEY §3.3 — the reference's
-    worker/sinks/sink/bulk_label_sink.py:64-120 path: query stored execution
-    results, apply label mutations per matching entity).  Scans the
-    execution-results Dataset, pre-aggregates rule fires per conversation
-    inside map_batches, and emits one label mutation per conversation with
-    ``>= min_fires`` firing turns (ts = last firing turn)."""
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Max, Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        fired = pc.cast(pc.fill_null(t[rule_name], False), pa.int64())
-        g = (
-            pa.table({"conv_id": t["conv_id"], "f": fired, "ts": t["ts"].cast(pa.int64())})
-            .group_by("conv_id")
-            .aggregate([("f", "sum"), ("ts", "max")])
-        )
-        return g.rename_columns(["conv_id", "fires", "last_ts"])
-
-    agg = (
-        results.map_batches(partial, batch_format="pyarrow")
-        .groupby("conv_id")
-        .aggregate(Sum("fires", alias_name="fires"), Max("last_ts", alias_name="last_ts"))
-        .to_pandas()
-    )
-    hit = agg[agg["fires"] >= min_fires].sort_values("conv_id")
-    exp = (
-        (hit["last_ts"] + int(expires_after * 1e6)).astype("int64")
-        if expires_after is not None
-        else pa.nulls(len(hit), pa.timestamp("us"))
-    )
-    return pa.table(
-        {
-            "conv_id": pa.array(hit["conv_id"], pa.string()),
-            "ts": pa.array(hit["last_ts"].astype("int64"), pa.timestamp("us")),
-            "label": pa.array([label] * len(hit), pa.string()),
-            "status": pa.array(["added"] * len(hit), pa.string()),
-            "expires_at": pa.array(exp, pa.timestamp("us"))
-            if expires_after is not None
-            else pa.nulls(len(hit), pa.timestamp("us")),
-            "n_fires": pa.array(hit["fires"].astype("int64"), pa.int64()),
-        }
-    )
 
 
 # -- bulk-label guardrails (bulk_label_sink.py:28-50) ------------------------

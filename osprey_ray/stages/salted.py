@@ -25,11 +25,12 @@ unsalted evaluation:
    makes per epoch: its whole-array window scans read the block's incoming
    state as their carry.
 
-Batch (:func:`run_batch_salted`, on ``run_batch_exchange``'s route and
-partition tasks) runs the protocol once over the whole input with an
-empty carry; streaming (``StreamingJob(hot_convs=...)``) runs it once per
-epoch, with the carry held by the driver and checkpointed with the
-manifests.
+Batch (``pipelines.flagship.run_batch_exchange(hot_convs=...)``, on its
+route and partition tasks) runs the protocol once over the whole input
+with an empty carry; streaming (``StreamingJob(hot_convs=...)``) runs it
+once per epoch, with the carry held by the driver and checkpointed with
+the manifests.  Both route through the one conversation ring
+(``stateful.route_keys``), a hot block by its ``conv_id#blk`` key.
 
 Label-dependent specs are rejected (:func:`check_hot_routing`):
 read-your-writes label feedback is inherently sequential per conversation
@@ -49,6 +50,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
+
 from osprey_ray.rules import (
     IncrementWindow,
     RuleSpec,
@@ -67,6 +70,11 @@ from osprey_ray.stages.stateful import (
     sort_and_dedup,
 )
 from osprey_ray.state.labels import LabelStore
+
+# turns per salted block (``blk = turn_idx // HOT_BLOCK_TURNS``): the
+# default of batch ``run_batch_exchange(hot_convs=...)`` and of streaming
+# ``StreamingJob(hot_convs=...)`` alike
+HOT_BLOCK_TURNS = 512
 
 
 def check_hot_routing(spec: RuleSpec) -> None:
@@ -214,60 +222,25 @@ def eval_seeded_blocks(held: list, seeds: dict, spec: RuleSpec, rule_plans) -> p
     return pa.concat_tables(outs, promote_options="default") if outs else None
 
 
+@ray.remote
+def _hot_counts(path: str, bar: int) -> dict:
+    """One file's conversations with at least ``bar`` rows, with counts."""
+    import pyarrow.parquet as pq
+
+    enc = pq.read_table(path, columns=["conv_id"])["conv_id"].combine_chunks().dictionary_encode()
+    c = np.bincount(enc.indices.to_numpy(zero_copy_only=False), minlength=len(enc.dictionary))
+    names = enc.dictionary.to_pylist()
+    return {names[i]: int(c[i]) for i in np.flatnonzero(c >= bar)}
+
+
 def detect_hot_convs(parquet_files: list[str], threshold: int) -> list[str]:
     """Distributed approximate hot-conversation detection: per-file value
     counts, locally filtered to convs with count ≥ threshold/(2·n_files)
     (a conversation with ≥ threshold total rows must clear that bar in some
     file), merged on the driver.  Heuristic by design — see module doc."""
-    import ray
-
-    @ray.remote
-    def counts(path: str, bar: int) -> dict:
-        import pyarrow.parquet as pq
-
-        col = pq.read_table(path, columns=["conv_id"])["conv_id"].combine_chunks()
-        enc = col.dictionary_encode()
-        c = np.bincount(
-            enc.indices.to_numpy(zero_copy_only=False),
-            minlength=len(enc.dictionary),
-        )
-        names = enc.dictionary.to_pylist()
-        return {names[i]: int(c[i]) for i in np.flatnonzero(c >= bar)}
-
     bar = max(1, threshold // max(1, 2 * len(parquet_files)))
     merged: dict = {}
-    for d in ray.get([counts.remote(p, bar) for p in parquet_files]):
+    for d in ray.get([_hot_counts.remote(p, bar) for p in parquet_files]):
         for k, v in d.items():
             merged[k] = merged.get(k, 0) + v
     return [k for k, v in merged.items() if v >= threshold]
-
-
-def run_batch_salted(
-    parquet_files: list[str],
-    spec: RuleSpec,
-    num_partitions: int = 64,
-    block_turns: int = 65_536,
-    hot_convs: list[str] | None = None,
-    hot_threshold: int = 250_000,
-) -> pa.Table:
-    """Salted batch evaluation: ``run_batch_exchange``'s plan with a hot
-    set — cold conversations evaluate whole in their partition task, hot
-    ones block-parallel with the carve/scan/seeded-eval protocol.  Output
-    is byte-equal to ``run_batch_exchange`` (tested) — salting is purely a
-    skew/latency fix.
-
-    Reads go by bounded row-group chunks (one read task per ~512k rows of
-    the segment-log plan), not whole files: the batch layout is
-    conv-hash-partitioned, so a whale conversation concentrates in ONE
-    file, and whole-file read tasks would serialize its stage-1 text
-    kernels on one core no matter how well stage 2 is salted."""
-    from osprey_ray.pipelines.flagship import _run_exchange
-    from osprey_ray.streaming.source import SegmentLogStream
-
-    check_hot_routing(spec)
-    if hot_convs is None:
-        hot_convs = detect_hot_convs(parquet_files, hot_threshold)
-    reads = [c for c, _s, _e in SegmentLogStream(parquet_files, rows_per_epoch=524_288).plan]
-    return _run_exchange(
-        reads, spec, {}, num_partitions, hot=frozenset(hot_convs), block_turns=block_turns
-    )

@@ -39,6 +39,8 @@ State carried per conversation (``states[conv_id]``):
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -100,6 +102,14 @@ def _conv_codes(tbl: pa.Table) -> tuple[np.ndarray, pa.Array]:
     else:
         enc = col.dictionary_encode()
     return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64), enc.dictionary
+
+
+def route_keys(keys, num_parts: int) -> np.ndarray:
+    """The conversation route: ``crc32(key) % num_parts`` for each string
+    key (stable across processes — never Python ``hash``).  Callers pass
+    unique keys, usually a ``_conv_codes`` dictionary, and gather by code;
+    batch, streaming and a rescale re-deal all deal through this ring."""
+    return np.array([zlib.crc32(k.encode()) % num_parts for k in keys], dtype=np.int32)
 
 
 def _group_cids(dictionary: pa.Array, codes: np.ndarray, starts: np.ndarray) -> list:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -52,7 +51,8 @@ import pyarrow.compute as pc
 import ray
 
 from osprey_ray.rules import RuleSpec
-from osprey_ray.stages.salted import check_hot_routing, scan_seeds
+from osprey_ray.stages.salted import HOT_BLOCK_TURNS, check_hot_routing, scan_seeds
+from osprey_ray.stages.stateful import route_keys
 from osprey_ray.stages.stateless import StatelessStage, compile_stateless
 from osprey_ray.state.carry import (
     decode_carry, encode_carry, from_ipc, ipc_schema, read_checkpoint, to_ipc,
@@ -114,15 +114,16 @@ def _read_route(
     stage1: StatelessStage,
     num_parts: int,
     hot_convs: frozenset | None = None,
-    hot_block_turns: int = 512,
+    hot_block_turns: int = HOT_BLOCK_TURNS,
 ):
     """Read segment chunks — each a plain path or a ``(path, row_groups)``
     pair (sub-file offsets: the reference commits per-message Kafka offsets,
     kafka.rs:112-116; row-group ranges are the Parquet-native equivalent) —
-    run the stateless stage, split by crc32(conv_id) %% P.  Conversations in
-    ``hot_convs`` route by crc32("conv#blk") with blk = turn_idx //
-    hot_block_turns — the sub-key exchange that spreads a whale's bytes
-    across shards instead of serializing them onto one.
+    run the stateless stage, split by the conversation route
+    (``stateful.route_keys``).  Conversations in ``hot_convs`` route by the
+    key "conv#blk" with blk = turn_idx // hot_block_turns — the sub-key
+    exchange that spreads a whale's bytes across shards instead of
+    serializing them onto one.
     Chunks may also be inline Arrow tables (already-decoded micro-batches
     from a poll-based :class:`osprey_ray.streaming.source.InputStream`,
     e.g. the Kafka connector) — those ship via the object store and skip
@@ -138,19 +139,16 @@ def _read_route(
     if "_arrival_us" in tbl.column_names:
         tbl = tbl.drop_columns(["_arrival_us"])
     t1 = stage1(tbl)
-    # dictionary-encode conv_id once: crc32 only over unique ids (route),
+    # dictionary-encode conv_id once: the route runs only over unique ids,
     # and the encoded column ships through the exchange (~25% fewer
     # object-store bytes — the key dominates the narrow post-stage-1 rows)
     col = t1["conv_id"]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    enc = col.dictionary_encode()
+    enc = col if pa.types.is_dictionary(col.type) else col.dictionary_encode()
     uniq = enc.dictionary.to_pylist()
-    dict_parts = np.array(
-        [zlib.crc32(c.encode()) % num_parts for c in uniq], dtype=np.int32
-    )
     idx = enc.indices.to_numpy(zero_copy_only=False)
-    parts = dict_parts[idx]
+    parts = route_keys(uniq, num_parts)[idx]
     if hot_convs:
         hot_code = np.array([c in hot_convs for c in uniq], dtype=bool)
         row_hot = hot_code[idx]
@@ -159,15 +157,8 @@ def _read_route(
             blk = turn[row_hot] // np.int64(hot_block_turns)
             pair = idx[row_hot].astype(np.int64) << np.int64(32) | blk
             upair, inv = np.unique(pair, return_inverse=True)
-            pcrc = np.array(
-                [
-                    zlib.crc32(f"{uniq[int(p) >> 32]}#{int(p) & 0xFFFFFFFF}".encode())
-                    % num_parts
-                    for p in upair
-                ],
-                dtype=np.int32,
-            )
-            parts[row_hot] = pcrc[inv]
+            keys = [f"{uniq[int(p) >> 32]}#{int(p) & 0xFFFFFFFF}" for p in upair]
+            parts[row_hot] = route_keys(keys, num_parts)[inv]
     max_ts = pc.max(t1["ts"].cast(pa.int64())).as_py() if t1.num_rows else I64_MIN
     ci = t1.schema.get_field_index("conv_id")
     t1 = t1.set_column(ci, "conv_id", enc)
@@ -180,6 +171,16 @@ def _read_route(
         t1.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
         for p in range(num_parts)
     ] + [max_ts]
+
+
+def _deal_labels(label_events: dict[str, list], num_parts: int) -> list[dict]:
+    """Pre-partition the label-event side input by the conversation route,
+    the same way as the turns: one ``{conv_id: events}`` dict per shard."""
+    per_shard: list[dict] = [{} for _ in range(num_parts)]
+    owners = route_keys(list(label_events), num_parts).tolist()
+    for (cid, evs), p in zip(label_events.items(), owners):
+        per_shard[p][cid] = evs
+    return per_shard
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -254,7 +255,7 @@ class StreamingJob:
         rows_per_epoch: int | None = None,
         spec_updates: dict[int, RuleSpec] | None = None,
         hot_convs: set | None = None,
-        hot_block_turns: int = 512,
+        hot_block_turns: int = HOT_BLOCK_TURNS,
         stream_write_timeout_s: float = 30.0,
         stream_write_retries: int = 1,
         fault_injection: dict[str, list[float]] | None = None,
@@ -375,10 +376,7 @@ class StreamingJob:
         ray.get([s.__ray_ready__.remote() for s in self.shards])
 
     def _start_shards(self) -> None:
-        # pre-partition the label-event side input the same way as the turns
-        per_shard: list[dict] = [{} for _ in range(self.P)]
-        for cid, evs in self.label_events.items():
-            per_shard[zlib.crc32(cid.encode()) % self.P][cid] = evs
+        per_shard = _deal_labels(self.label_events, self.P)
         self.shards = [
             StateShard.remote(
                 self.spec, p, self.data_dir, per_shard[p],

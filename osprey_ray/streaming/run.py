@@ -8,7 +8,8 @@
 A killed job rerun with ``--resume`` continues from the last committed
 manifest + state snapshot and reproduces the remaining verdict rows
 bit-for-bit (BASELINE.json north_rule).  Prints one JSON metrics line per
-epoch and a final summary.
+epoch and a final summary.  ``--rules`` takes an SML ruleset; validation
+errors exit 1 with positioned messages, as in the batch CLI.
 """
 
 from __future__ import annotations
@@ -67,9 +68,14 @@ def main(argv: list[str] | None = None) -> int:
     from osprey_ray.streaming import StreamingJob
 
     if args.rules:
-        from osprey_ray.sml import load_sml
+        from osprey_ray.sml import SmlValidationError, load_sml
 
-        spec = load_sml(args.rules)
+        try:
+            spec = load_sml(args.rules)
+        except SmlValidationError as e:
+            for err in e.errors:
+                print(f"error: {err}", file=sys.stderr)
+            return 1
     else:
         spec = flagship_spec()
     if args.fsck:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -46,8 +45,8 @@ import pyarrow.parquet as pq
 import ray
 
 from osprey_ray.rules import RuleSpec
-from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks
-from osprey_ray.stages.stateful import _conv_codes, eval_released, sort_and_dedup
+from osprey_ray.stages.salted import HOT_BLOCK_TURNS, carve_hot_blocks, eval_seeded_blocks
+from osprey_ray.stages.stateful import _conv_codes, eval_released, route_keys, sort_and_dedup
 from osprey_ray.stages.stateless import split_rules
 from osprey_ray.state.carry import (
     decode_carry, encode_carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint,
@@ -59,14 +58,10 @@ I64_MIN = np.iinfo(np.int64).min
 
 
 def _owned(tbl: pa.Table, num_parts: int, part: int) -> pa.Array:
-    """Row mask of ``tbl``'s rows whose ``crc32(conv_id) % num_parts`` is
-    ``part`` — crc32 runs once per unique conv_id."""
+    """Row mask of ``tbl``'s rows whose conversation routes to ``part`` of
+    ``num_parts`` — the route runs once per unique conv_id."""
     codes, dictionary = _conv_codes(tbl)
-    keep = np.array(
-        [zlib.crc32(c.encode()) % num_parts == part for c in dictionary.to_pylist()],
-        dtype=bool,
-    )
-    return pa.array(keep[codes])
+    return pa.array((route_keys(dictionary.to_pylist(), num_parts) == part)[codes])
 
 
 def _fired(out: pa.Table | None) -> int:
@@ -155,7 +150,7 @@ class StateShard:
         label_events: dict[str, list],
         pending_spill_rows: int = 500_000,
         hot_convs: frozenset | None = None,
-        hot_block_turns: int = 512,
+        hot_block_turns: int = HOT_BLOCK_TURNS,
         stream_write_timeout_s: float = 30.0,
         stream_write_retries: int = 1,
         fault_injection: dict[str, list[float]] | None = None,
@@ -623,20 +618,20 @@ class StateShard:
         """Rebuild this shard's slice of the state from a checkpoint taken
         with a DIFFERENT shard count — cluster rescale on resume (the
         reference rescales workers through its coordinator ring,
-        worker/lib/etcd/ring.py; here the ring is crc32(conv_id) % P, so a
-        new P just re-deals the keys).
+        worker/lib/etcd/ring.py; here the ring is ``stateful.route_keys``,
+        crc32(conv_id) % P, so a new P just re-deals the keys).
 
         Every new shard reads EVERY old snapshot and keeps the
-        conversations whose crc32 routes here under ``new_P``: one crc32
-        mask over each carry table's conv_ids and over each pending table's
-        unique conv_ids.  Spilled pending rows are absorbed inline (they
-        re-spill past the threshold on the next process call).  The
+        conversations that route here under ``new_P``: one route mask over
+        each carry table's conv_ids and over each pending table's unique
+        conv_ids.  Spilled pending rows are absorbed inline (they re-spill
+        past the threshold on the next process call).  The
         watermark is the MIN across old shards — conservative: rows the
         faster old shards already released are in their carried state, and
         the merged watermark only delays future releases until new data
         advances it."""
         def mine(key: str) -> bool:
-            return zlib.crc32(key.encode()) % new_P == self.part
+            return route_keys([key], new_P)[0] == self.part
 
         self.states, self.open_windows = {}, {}
         self.last_seen = {}

@@ -247,8 +247,7 @@ def test_read_groups_contiguous(m, p, sizes):
 @pytest.mark.parametrize("P", [2, 5, 8])
 def test_exchange_read_groups_match_per_file_reads(small_data, ray_session, tmp_path, P):
     """5 files over P partitions (M > P, M = P, M < P): every written
-    partition table equals the one a read task per file writes, and a
-    resumed run rewrites a lost partition identically."""
+    partition table equals the one a read task per file writes."""
     from osprey_ray.pipelines.flagship import _run_exchange, run_batch_exchange
 
     clean, lmap = small_data
@@ -267,7 +266,116 @@ def test_exchange_read_groups_match_per_file_reads(small_data, ray_session, tmp_
     for a, b in zip(got, ref):
         assert pq.read_table(a).equals(pq.read_table(b))
 
-    os.remove(got[-1])
-    resumed = run_batch_exchange(files, spec, lmap, num_partitions=P, write_dir=out, resume=True)
-    assert [os.path.basename(x) for x in resumed] == names
-    assert pq.read_table(resumed[-1]).equals(pq.read_table(ref[-1]))
+
+def test_salted_whale_file_row_groups(ray_session, tmp_path):
+    """A whale file split into several row groups goes through the one read
+    plan (a chunk per row group, dealt over at most P read tasks); salting
+    every conversation in 7-turn blocks equals the unsalted exchange, both
+    returned in memory and written (the union of the returned files,
+    salted blocks' files included).  A label spec cannot be salted."""
+    from test_golden import _cmp_tables
+
+    from osprey_ray.pipelines.flagship import flagship_sql_spec, run_batch_exchange
+
+    tbl = generate_transcripts(3000, seed=5, whale_turns=1200).drop_columns(["_arrival_us"])
+    counts = tbl.group_by("conv_id").aggregate([("turn_idx", "count")])
+    whale = counts["conv_id"][int(np.argmax(counts["turn_idx_count"]))].as_py()
+    is_whale = pa.compute.equal(tbl["conv_id"], whale)
+    files = [str(tmp_path / "whale.parquet"), str(tmp_path / "rest.parquet")]
+    pq.write_table(tbl.filter(is_whale), files[0], row_group_size=256)
+    pq.write_table(tbl.filter(pa.compute.invert(is_whale)), files[1])
+    assert pq.ParquetFile(files[0]).num_row_groups > 1
+
+    spec = flagship_sql_spec()
+    convs = tbl["conv_id"].unique().to_pylist()
+    base = run_batch_exchange(files, spec, {}, num_partitions=4)
+    salted = run_batch_exchange(files, spec, {}, num_partitions=4, hot_convs=convs, block_turns=7)
+    _cmp_tables(salted, base)
+    written = run_batch_exchange(
+        files, spec, {}, num_partitions=4, write_dir=str(tmp_path / "out"),
+        hot_convs=convs, block_turns=7,
+    )
+    # every cold partition is empty here, so its file keeps the exchange's
+    # dictionary-typed conv_id; the union is over the files' rows
+    union = [t for t in map(pq.read_table, written) if t.num_rows]
+    _cmp_tables(pa.concat_tables(union, promote_options="default"), base)
+
+    with pytest.raises(ValueError, match="label"):
+        run_batch_exchange(files, flagship_spec(), {}, num_partitions=4, hot_convs=convs)
+
+
+# ---- one conversation route ----------------------------------------------
+
+
+def _typed(tbl: pa.Table, conv_type: str) -> pa.Table:
+    ids = tbl["conv_id"].combine_chunks()
+    ids = {"string": ids, "large_string": ids.cast(pa.large_string()),
+           "dictionary": ids.dictionary_encode()}[conv_type]
+    return tbl.set_column(tbl.schema.get_field_index("conv_id"), "conv_id", ids)
+
+
+@pytest.mark.parametrize("conv_type", ["string", "large_string", "dictionary"])
+@pytest.mark.parametrize("P", [1, 3, 8])
+def test_route_agreement(conv_type, P, tmp_path):
+    """Without Ray, every site that deals conversations over P partitions
+    (the batch ``AssignPartition``, the exchange's read/route split with and
+    without a hot sub-key, a shard's ``_owned`` mask, the label deal, a
+    rescale re-deal and datagen's batch layout) puts each conversation in
+    ``zlib.crc32(conv_id) % P``."""
+    import zlib
+
+    from osprey_ray.datagen import write_dataset
+    from osprey_ray.pipelines.flagship import AssignPartition, flagship_sql_spec
+    from osprey_ray.streaming.job import _deal_labels, _read_route
+    from osprey_ray.streaming.shard import StateShard, _owned
+
+    def want(cid) -> int:
+        return zlib.crc32(cid.encode()) % P
+
+    def placed(tables) -> dict:
+        return {c: p for p, t in enumerate(tables) for c in t["conv_id"].to_pylist()}
+
+    raw = generate_transcripts(400, seed=3)
+    tbl = _typed(raw.drop_columns(["_arrival_us"]), conv_type)
+    convs = set(tbl["conv_id"].to_pylist())
+    expect = {c: want(c) for c in convs}
+    spec = flagship_sql_spec()
+    stage1 = compile_stateless(spec)
+
+    parts = AssignPartition(P)(tbl)
+    assert set(zip(parts["conv_id"].to_pylist(), parts["__part"].to_pylist())) == set(expect.items())
+    assert placed(_read_route._function([tbl], stage1, P)[:P]) == expect
+    assert placed([tbl.filter(_owned(tbl, P, p)) for p in range(P)]) == expect
+    labels = label_events_map(generate_label_events(raw, 3))
+    assert {c: p for p, d in enumerate(_deal_labels(labels, P)) for c in d} == {
+        c: want(c) for c in labels
+    }
+
+    hot = min(convs)
+    split = _read_route._function([tbl], stage1, P, frozenset([hot]), 4)[:P]
+    for p, t in enumerate(split):
+        for c, turn in zip(t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()):
+            assert p == (want(f"{c}#{turn // 4}") if c == hot else expect[c])
+
+    # a rescale re-deal: two old shards' states and pending rows over P
+    Shard = StateShard.__ray_metadata__.modified_class
+    t1 = stage1(tbl)
+    wm = int(np.median(t1["ts"].cast(pa.int64()).to_numpy()))
+    old = [Shard(spec, p, str(tmp_path / "data"), {}) for p in range(2)]
+    for p, sh in enumerate(old):
+        sh.process(0, [t1.filter(_owned(t1, 2, p))], wm, write=False)
+    assert any(sh.states for sh in old) and any(sh.pending for sh in old)
+    paths = [sh.snapshot(str(tmp_path / "ckpt"), 0)["path"] for sh in old]
+    new = [Shard(spec, p, str(tmp_path / "data"), {}) for p in range(P)]
+    for sh in new:
+        sh.restore_resharded(paths, P)
+    assert {c: p for p, sh in enumerate(new) for c in sh.states} == {
+        c: want(c) for sh in old for c in sh.states
+    }
+    assert {c: p for p, sh in enumerate(new) for c in placed(sh.pending)} == {
+        c: want(c) for sh in old for t in sh.pending for c in t["conv_id"].to_pylist()
+    }
+
+    d = write_dataset(str(tmp_path / "layout"), 400, seed=3, num_batch_parts=P)
+    layout = [pq.read_table(f"{d}/batch/part-{p:04d}.parquet") for p in range(P)]
+    assert placed(layout) == {c: want(c) for c in raw["conv_id"].to_pylist()}

@@ -1,4 +1,5 @@
-"""CLI runner (`python -m osprey_ray`) drives a ruleset over parquet."""
+"""CLI runners drive a ruleset over parquet: `python -m osprey_ray` (batch)
+and `python -m osprey_ray.streaming.run` (streaming)."""
 
 import glob
 
@@ -41,19 +42,26 @@ def test_cli_rejects_bad_ruleset(ray_session, tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
+    from osprey_ray.streaming.run import main as stream_main
+
+    rc = stream_main(["--rules", str(bad), "--input", "/nonexistent", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
 
 def test_cli_streaming_run(ray_session, tmp_path):
-    from osprey_ray.__main__ import main
     from osprey_ray.datagen import ensure_dataset
+    from osprey_ray.streaming.run import main
 
     d = ensure_dataset(2_000, seed=11, root=str(tmp_path / "data"))
     rc = main(
         [
             "--rules", "examples/rules/main.sml",
             "--input", d + "/stream",
-            "--labels", d + "/label_events.parquet",
-            "--output", str(tmp_path / "sout"),
-            "--streaming",
+            "--label-events", d + "/label_events.parquet",
+            "--out", str(tmp_path / "sout"),
+            "--shards", "8",
+            "--files-per-epoch", "2",
         ]
     )
     assert rc == 0

@@ -346,12 +346,14 @@ def test_bulk_label_job(small_data, ray_session):
     rule fires, cross-checked against the oracle results."""
     import ray.data as rd
 
-    from osprey_ray.pipelines.flagship import bulk_label
+    from osprey_ray.pipelines.flagship import bulk_label_by_query
 
     clean, lmap = small_data
     spec = flagship_spec()
     res = run_batch(rd.from_arrow(clean), spec, lmap, num_partitions=4)
-    bl = bulk_label(res, "RuleSpam", 2, "spam_suspect", 3600).to_pandas()
+    bl = bulk_label_by_query(
+        res, "RuleSpam", spec, "spam_suspect", min_matches=2, expires_after=3600
+    ).to_pandas()
     want = pd.DataFrame(oracle_results(clean, spec, lmap))
     per_conv = want.groupby("conv_id")["RuleSpam"].sum()
     expect = sorted(per_conv[per_conv >= 2].index)
@@ -437,15 +439,14 @@ def test_salted_matches_unsalted(small_data, ray_session, tmp_path):
     summary-scan carry protocol is exact across window/tumbling/session/CEP
     block boundaries."""
     from osprey_ray.pipelines.flagship import flagship_sql_spec, run_batch_exchange
-    from osprey_ray.stages.salted import run_batch_salted
 
     clean, _ = small_data
     spec = flagship_sql_spec()
     files = _write_parts(clean, tmp_path)
     base = run_batch_exchange(files, spec, {}, num_partitions=8)
     convs = clean["conv_id"].unique().to_pylist()
-    salted = run_batch_salted(
-        files, spec, num_partitions=8, block_turns=64, hot_convs=convs
+    salted = run_batch_exchange(
+        files, spec, {}, num_partitions=8, block_turns=64, hot_convs=convs
     )
     assert salted.num_rows == base.num_rows
     _cmp_tables(salted, base)
@@ -464,7 +465,6 @@ def test_salted_kvcache_windowcount(small_data, ray_session, tmp_path):
         RuleSpec,
         WindowCount,
     )
-    from osprey_ray.stages.salted import run_batch_salted
 
     clean, _ = small_data
     spec = RuleSpec(
@@ -484,19 +484,18 @@ def test_salted_kvcache_windowcount(small_data, ray_session, tmp_path):
     files = _write_parts(clean, tmp_path)
     base = run_batch_exchange(files, spec, {}, num_partitions=8)
     convs = clean["conv_id"].unique().to_pylist()
-    salted = run_batch_salted(
-        files, spec, num_partitions=8, block_turns=50, hot_convs=convs
+    salted = run_batch_exchange(
+        files, spec, {}, num_partitions=8, block_turns=50, hot_convs=convs
     )
     assert salted.num_rows == base.num_rows
     _cmp_tables(salted, base)
 
 
 def test_salted_rejects_label_specs(small_data):
-    from osprey_ray.pipelines.flagship import flagship_spec
-    from osprey_ray.stages.salted import run_batch_salted
+    from osprey_ray.pipelines.flagship import flagship_spec, run_batch_exchange
 
     with pytest.raises(ValueError, match="label"):
-        run_batch_salted([], flagship_spec())
+        run_batch_exchange([], flagship_spec(), hot_convs=["conv-1"])
 
 
 @pytest.mark.parametrize("block_turns", [1, 3, 7, 50])
@@ -697,59 +696,6 @@ def test_label_dependent_rule_applies_and_records_reason():
     gated = [m for m in muts if m[2] == "gated_mark"]
     assert len(gated) == 1
     assert gated[0][4] == "RuleGate,RuleSeed"  # sorted CSV incl. dependent rule
-
-
-def test_exchange_resume_skips_finished_partitions(small_data, ray_session, tmp_path):
-    """resume=True recomputes only missing partition files: surviving files
-    are untouched (same inode+mtime), the deleted one regenerates, and the
-    resumed union is byte-identical to the fresh run."""
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-
-    from osprey_ray.pipelines.flagship import run_batch_exchange
-
-    clean, lmap = small_data
-    spec = flagship_spec()
-    files = []
-    for i in range(3):
-        p = str(tmp_path / f"in-{i}.parquet")
-        pq.write_table(clean.slice(i * 1000, 1000), p)
-        files.append(p)
-    outdir = str(tmp_path / "out")
-    paths = run_batch_exchange(files, spec, lmap, num_partitions=8, write_dir=outdir)
-    want = pa.concat_tables([pq.read_table(p) for p in sorted(paths)])
-
-    victim = sorted(glob.glob(outdir + "/*.parquet"))[1]
-    os.remove(victim)
-    before = {
-        p: (os.stat(p).st_ino, os.stat(p).st_mtime_ns)
-        for p in glob.glob(outdir + "/*.parquet")
-    }
-    paths2 = run_batch_exchange(
-        files, spec, lmap, num_partitions=8, write_dir=outdir, resume=True
-    )
-    assert os.path.exists(victim)  # regenerated
-    for p, stamp in before.items():  # survivors untouched
-        assert (os.stat(p).st_ino, os.stat(p).st_mtime_ns) == stamp
-    got = pa.concat_tables([pq.read_table(p) for p in sorted(paths2)])
-    a = want.to_pandas().sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-    b = got.to_pandas().sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-    assert a["conv_id"].tolist() == b["conv_id"].tolist()
-    assert [list(x) for x in a["__verdicts"]] == [list(x) for x in b["__verdicts"]]
-
-    # fully-complete resume: nothing recomputed, paths still returned
-    before = {
-        p: (os.stat(p).st_ino, os.stat(p).st_mtime_ns)
-        for p in glob.glob(outdir + "/*.parquet")
-    }
-    paths3 = run_batch_exchange(
-        files, spec, lmap, num_partitions=8, write_dir=outdir, resume=True
-    )
-    assert sorted(paths3) == sorted(paths2)
-    for p, stamp in before.items():
-        assert (os.stat(p).st_ino, os.stat(p).st_mtime_ns) == stamp
 
 
 def test_tumbling_sum_matches_oracle_with_weird_weights(small_data):

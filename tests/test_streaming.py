@@ -754,7 +754,7 @@ def test_wedged_stream_fails_epoch_cleanly(stream_data, tmp_path):
 
 
 def test_warm_prestart_does_not_change_output(stream_data, tmp_path):
-    # bench.py spins the shard pool up untimed via warm(); the pre-started
+    # perfbench spins the shard pool up untimed via warm(); the pre-started
     # pool must be a pure latency optimization — identical results/metrics.
     segs, lmap, full = stream_data
     spec = flagship_spec()
