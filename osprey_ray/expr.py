@@ -215,10 +215,6 @@ class Lit(Expr):
 _TS_TYPES = (pa.types.is_timestamp, pa.types.is_duration)
 
 
-def _numeric_pair(left: pa.Array, right: pa.Array) -> tuple[pa.Array, pa.Array]:
-    return left, right
-
-
 class BinOp(Expr):
     """Arithmetic / bitwise (grammar BinaryOperation,
     binary_operation_executor.py:31-60)."""

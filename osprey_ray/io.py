@@ -1,6 +1,8 @@
-"""Shared Parquet read helper.
+"""Shared Parquet read and write helpers.
 
-``read_parquet_clean`` passes an explicit metadata-free schema to
+``write_parquet_atomic`` is the engine's one atomic Parquet write (batch
+partition files, shard epoch streams and spills, the driver's hot-window
+file).  ``read_parquet_clean`` passes an explicit metadata-free schema to
 ``ray.data.read_parquet``: pyarrow 16's ``pa.Schema`` is unhashable when it
 carries (pandas) key-value metadata, which makes Ray Data's schema
 deduplication log "Failed to hash the schemas … unhashable type: 'dict'"
@@ -10,13 +12,25 @@ pandas metadata)."""
 
 from __future__ import annotations
 
+import os
+import uuid
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data as rd
+
+def write_parquet_atomic(tbl: pa.Table, path: str) -> None:
+    """Write ``tbl`` to ``path`` via a tmp file and ``os.replace``.  The
+    tmp name is unique per call: a timed-out write may still run in an
+    abandoned thread when its retry starts, and they must not share it."""
+    tmp = f"{path}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, path)
 
 
 def read_parquet_clean(path: str, columns: list[str] | None = None) -> "rd.Dataset":
+    import ray.data as rd
+
     sch = pq.read_schema(path).remove_metadata()
     if columns is not None:
         sch = pa.schema([sch.field(c) for c in columns])
@@ -49,6 +63,8 @@ def read_transcripts_jsonl(path: str) -> "rd.Dataset":
     offsets upgrade).  Unexpected fields error loudly rather than being
     dropped silently."""
     from pyarrow import json as pajson
+
+    import ray.data as rd
 
     parse_schema = pa.schema(
         [
@@ -117,7 +133,8 @@ def read_parquet_union_by_name(roots: list[str]) -> "rd.Dataset":
     missing columns as typed nulls so every block carries the full union
     schema."""
     import glob as _glob
-    import os
+
+    import ray.data as rd
 
     groups = []
     for r in roots:

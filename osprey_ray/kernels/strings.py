@@ -26,10 +26,6 @@ from osprey_ray.expr import ExprError
 from osprey_ray.kernels import kernel
 
 
-def _null_if(arr, cond_null_fn):
-    return arr
-
-
 # -- simple pc-backed kernels -----------------------------------------------
 
 

@@ -19,13 +19,17 @@ Two equivalent physical plans (byte-identical output, tested):
 stages as an explicit task exchange: at most P read tasks, each reading a
 contiguous run of row-group chunks in file order, × P partition tasks —
 faster at small/medium shuffle sizes where Ray Data's sort-based groupby
-fixed cost dominates).  ``run_batch_exchange(hot_convs=...)`` is also the
-salted batch engine: hot conversations route by turn-block sub-key and
-evaluate block-parallel (stages/salted.py), byte-equal to the unsalted run.
+fixed cost dominates).  A partition task, like a shard, gets its routed
+slices as top-level arguments (Ray fetches them before it starts) and its
+crc32 deal of the label events.  ``run_batch_exchange(hot_convs=...)`` is
+also the salted batch engine: hot conversations route by turn-block
+sub-key and evaluate in one seeded call per partition (stages/salted.py),
+byte-equal to the unsalted run.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -36,6 +40,7 @@ import ray
 import ray.data
 
 from osprey_ray.expr import col, lit, or_
+from osprey_ray.io import write_parquet_atomic
 from osprey_ray.rules import (
     DeclareVerdict,
     Feature,
@@ -292,8 +297,9 @@ def run_batch_exchange(
 
     Returns the concatenated execution-results Table, or the written file
     paths when ``write_dir`` is given: ``part-{p:05d}.parquet`` per
-    partition, plus ``part-{p:05d}-hot.parquet`` for a partition's salted
-    blocks; every write is atomic (tmp + rename)."""
+    partition with output rows, plus ``part-{p:05d}-hot.parquet`` for a
+    partition's salted blocks; every write is atomic (tmp + rename), and a
+    partition with no rows writes nothing."""
     import pyarrow.parquet as pq
 
     from osprey_ray.streaming.job import _read_groups
@@ -313,50 +319,41 @@ def run_batch_exchange(
 
 
 def _emit(out: pa.Table | None, write_dir: str | None, name: str):
-    """``out`` itself, or — with a ``write_dir`` — written atomically as
-    ``write_dir/name`` and returned as its path."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    if write_dir is None or out is None:
+    """None for no rows; else ``out`` itself or — with a ``write_dir`` —
+    written atomically as ``write_dir/name`` and returned as its path."""
+    if out is None or out.num_rows == 0:
+        return None
+    if write_dir is None:
         return out
     os.makedirs(write_dir, exist_ok=True)
     path = os.path.join(write_dir, name)
-    tmp = path + f".tmp.{os.getpid()}"
-    pq.write_table(out, tmp)
-    os.replace(tmp, path)
+    write_parquet_atomic(out, path)
     return path
 
 
 @ray.remote(num_returns=3)
-def _eval_partition(part, tables, spec, rule_plans, lmap, write_dir, hot, block_turns):
-    """One exchange partition: sort/dedup, carve the hot conversations'
-    blocks (stages/salted.py), evaluate the cold rows in one pass.
-    Returns (output table | written path | None, block summaries, held
-    blocks)."""
+def _eval_partition(part, spec, rule_plans, lmap, write_dir, hot, block_turns, *tables):
+    """One exchange partition over its routed slices (top-level arguments,
+    so Ray fetches them before the task starts): sort/dedup, carve the hot
+    conversations' rows (stages/salted.py), evaluate the cold rows in one
+    pass.  Returns (output table | written path | None, block summaries,
+    held hot rows | None)."""
     from osprey_ray.stages.stateful import eval_released, sort_and_dedup
     from osprey_ray.state.labels import LabelStore
 
-    refs = [t for t in tables if isinstance(t, ray.ObjectRef)]
-    if refs:
-        fetched = iter(ray.get(refs))
-        tables = [next(fetched) if isinstance(t, ray.ObjectRef) else t for t in tables]
     live = [t for t in tables if t.num_rows]
     if not live:
-        return None, [], []
-    tbl = pa.concat_tables(live, promote_options="default")
-    states: dict = {}
-    tbl = sort_and_dedup(tbl, states)
+        return None, [], None
+    tbl = sort_and_dedup(pa.concat_tables(live, promote_options="default"), {})
     tbl, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
-    out, _ = eval_released(tbl, spec, rule_plans, states, LabelStore(), lmap, persist=False)
+    out, _ = eval_released(tbl, spec, rule_plans, {}, LabelStore(), lmap, persist=False)
     return _emit(out, write_dir, f"part-{part:05d}.parquet"), summaries, held
 
 
 @ray.remote
-def _eval_held(part, held, seeds, spec, rule_plans, write_dir):
-    """One partition's held hot blocks, each from its scanned seed."""
-    out = eval_seeded_blocks(held, seeds, spec, rule_plans)
+def _eval_held(part, held, seeds, spec, rule_plans, write_dir, block_turns):
+    """One partition's held hot rows, each block from its scanned seed."""
+    out = eval_seeded_blocks(held, seeds, spec, rule_plans, block_turns)
     return _emit(out, write_dir, f"part-{part:05d}-hot.parquet")
 
 
@@ -371,12 +368,13 @@ def _run_exchange(
 ) -> pa.Table | list:
     """``run_batch_exchange``'s task graph: one ``_read_route`` task per
     element of ``reads`` (a list of segment chunks), one partition task per
-    partition.  With a ``hot`` set the route splits hot conversations by
-    ``conv#(turn_idx // block_turns)``, the partition tasks carve their
-    blocks, the driver scans the block summaries, and one seeded-eval task
-    runs per partition that holds blocks."""
+    partition, given its share of the label events (``_deal_labels``, the
+    shards' deal).  With a ``hot`` set the route splits hot conversations
+    by ``conv#(turn_idx // block_turns)``, the partition tasks carve their
+    hot rows, the driver scans the block summaries, and one seeded-eval
+    task runs per partition that holds blocks."""
     from osprey_ray.stages.stateless import split_rules
-    from osprey_ray.streaming.job import _read_route
+    from osprey_ray.streaming.job import _deal_labels, _read_route
 
     P = num_partitions
     stage1 = compile_stateless(spec)
@@ -385,10 +383,10 @@ def _run_exchange(
         _read_route.options(num_returns=P + 1).remote(r, stage1, P, hot or None, block_turns)
         for r in reads
     ]
+    labels = _deal_labels(label_events, P)
     parts = [
         _eval_partition.remote(
-            p, [r[p] for r in routed], spec, rule_plans, label_events, write_dir,
-            hot, block_turns,
+            p, spec, rule_plans, labels[p], write_dir, hot, block_turns, *[r[p] for r in routed]
         )
         for p in range(P)
     ]
@@ -398,8 +396,8 @@ def _run_exchange(
         seeds = scan_seeds([s for ss in summaries for s in ss], {}, spec)
         seeded = [
             _eval_held.remote(
-                p, parts[p][2], {(c, b): seeds[(c, b)] for c, b, _t, _s in ss},
-                spec, rule_plans, write_dir,
+                p, parts[p][2], {(c, b): seeds[(c, b)] for c, b, _s in ss},
+                spec, rule_plans, write_dir, block_turns,
             )
             for p, ss in enumerate(summaries)
             if ss
@@ -407,7 +405,6 @@ def _run_exchange(
     outs = [o for o in ray.get([o for o, _s, _h in parts] + seeded) if o is not None]
     if write_dir is not None:
         return outs
-    outs = [o for o in outs if o.num_rows]
     return pa.concat_tables(outs, promote_options="default") if outs else pa.table({})
 
 

@@ -9,21 +9,22 @@ block_turns``) by the sub-key ``conv_id#blk`` instead (the route is
 unsalted evaluation:
 
 1. **Carve** (:func:`carve_hot_blocks`, per partition) — split the hot
-   ``(conv, blk)`` runs off a sorted, deduped slice, hold them, and run
-   ``eval_released``'s window scan (``stateful.scan_windows``) once over
-   all hot rows with the blocks as its runs and no seed.  A block's
-   summary is that scan's carry-out for it (the sliding-window event tail,
-   tumbling partial, session tail, CEP first-match tail, last KV write and
-   ``last_turn``) plus its first and last ``ts``.
+   conversations' rows off a sorted, deduped slice and hold them as one
+   table, and run ``eval_released``'s window scan
+   (``stateful.scan_windows``) once over them with the ``(conv, blk)``
+   blocks as its runs and no seed.  A block's summary is that scan's
+   carry-out for it (the sliding-window event tail, tumbling partial,
+   session tail, CEP first-match tail, last KV write and ``last_turn``)
+   plus its first and last ``ts``.
 2. **Scan** (:func:`scan_seeds`, driver, cheap) — per conversation,
    summaries combine in turn order (:func:`merge_state`) from the carry
    into the state each block starts from.  The combine reads carry values
    only, one small dict per block; it is associative per feature family
    (SURVEY §2.9 notes window merges are associative).
-3. **Seeded eval** (:func:`eval_seeded_blocks`, per partition) — every
-   held block evaluates through the same ``eval_released`` call streaming
-   makes per epoch: its whole-array window scans read the block's incoming
-   state as their carry.
+3. **Seeded eval** (:func:`eval_seeded_blocks`, per partition) — one
+   ``stateful.eval_runs`` call over all held rows, the blocks as runs
+   seeded from their scanned states, after one mask drops rows at or below
+   a seed's ``last_turn``.  No carry is written back: the scan advanced it.
 
 Batch (``pipelines.flagship.run_batch_exchange(hot_convs=...)``, on its
 route and partition tasks) runs the protocol once over the whole input
@@ -62,14 +63,7 @@ from osprey_ray.rules import (
     TumblingMax,
     TumblingSum,
 )
-from osprey_ray.stages.stateful import (
-    _conv_codes,
-    _group_cids,
-    eval_released,
-    scan_windows,
-    sort_and_dedup,
-)
-from osprey_ray.state.labels import LabelStore
+from osprey_ray.stages.stateful import NEG_INF, _conv_codes, _group_cids, eval_runs, scan_windows
 
 # turns per salted block (``blk = turn_idx // HOT_BLOCK_TURNS``): the
 # default of batch ``run_batch_exchange(hot_convs=...)`` and of streaming
@@ -155,43 +149,45 @@ def merge_state(prev: dict | None, summ: tuple, spec: RuleSpec) -> dict:
 
 def carve_hot_blocks(
     tbl: pa.Table, spec: RuleSpec, hot: frozenset, block_turns: int
-) -> tuple[pa.Table, list, list]:
-    """Split the hot conversations' contiguous ``(conv, turn_idx //
-    block_turns)`` runs off a sorted, deduped slice.  Returns ``(cold rows,
-    held blocks [(conv, blk, table)], summaries [(conv, blk, first_turn,
-    (first_ts, last_ts, carry-out))])``; the carry-outs come from one
-    unseeded window scan over all hot rows, with the blocks as its runs.
-    The summaries feed :func:`scan_seeds`, the held blocks
-    :func:`eval_seeded_blocks`."""
+) -> tuple[pa.Table, pa.Table | None, list]:
+    """Split the hot conversations' rows off a sorted, deduped slice.
+    Returns ``(cold rows, held hot rows | None, summaries [(conv, blk,
+    (first_ts, last_ts, carry-out))])``: the held rows stay in
+    the slice's order, so each ``(conv, turn_idx // block_turns)`` block is
+    one contiguous run, and the carry-outs come from one unseeded window
+    scan over them with the blocks as its runs.  The summaries feed
+    :func:`scan_seeds`, the held rows :func:`eval_seeded_blocks`."""
     if not hot or tbl.num_rows == 0:
-        return tbl, [], []
+        return tbl, None, []
     codes, dictionary = _conv_codes(tbl)
     hot_code = pc.is_in(dictionary, pa.array(list(hot), dictionary.type))
     row_hot = hot_code.to_numpy(zero_copy_only=False)[codes]
     if not row_hot.any():  # a shipped dictionary may name absent convs
-        return tbl, [], []
-    hot_tbl = tbl.filter(pa.array(row_hot))
-    codes = codes[row_hot]
-    turn = hot_tbl["turn_idx"].to_numpy().astype(np.int64)
-    ts = hot_tbl["ts"].cast(pa.int64()).to_numpy()
-    blk = turn // np.int64(block_turns)
-    n = len(codes)
-    change = np.empty(n, dtype=bool)
+        return tbl, None, []
+    held = tbl.filter(pa.array(row_hot))
+    change, blk, cids = _block_runs(held, block_turns)
+    _, _, carry_out = scan_windows(held, spec, change, None, persist=True)
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], held.num_rows)
+    ts = held["ts"].cast(pa.int64()).to_numpy()
+    summaries = [
+        (cid, b, (ts0, ts1, {key: vals[g] for key, vals in carry_out if vals[g] is not None}))
+        for g, (cid, b, ts0, ts1) in enumerate(
+            zip(cids, blk[starts].tolist(), ts[starts].tolist(), ts[ends - 1].tolist())
+        )
+    ]
+    return tbl.filter(pa.array(~row_hot)), held, summaries
+
+
+def _block_runs(tbl: pa.Table, block_turns: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Runs of ``(conv, turn_idx // block_turns)`` over grouped, ordered
+    rows: (run-start mask, per-row block, conv_id of each run)."""
+    codes, dictionary = _conv_codes(tbl)
+    blk = tbl["turn_idx"].to_numpy().astype(np.int64) // np.int64(block_turns)
+    change = np.empty(len(codes), dtype=bool)
     change[0] = True
     change[1:] = (codes[1:] != codes[:-1]) | (blk[1:] != blk[:-1])
-    _, _, carry_out = scan_windows(hot_tbl, spec, change, None, persist=True)
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    cids = _group_cids(dictionary, codes, starts)
-    held, summaries = [], []
-    for gi, (s, e, b, t0, ts0, ts1) in enumerate(zip(
-        starts.tolist(), ends.tolist(), blk[starts].tolist(), turn[starts].tolist(),
-        ts[starts].tolist(), ts[ends - 1].tolist(),
-    )):
-        carry = {key: vals[gi] for key, vals in carry_out if vals[gi] is not None}
-        held.append((cids[gi], b, hot_tbl.slice(s, e - s).combine_chunks()))
-        summaries.append((cids[gi], b, t0, (ts0, ts1, carry)))
-    return tbl.filter(pa.array(~row_hot)), held, summaries
+    return change, blk, _group_cids(dictionary, codes, np.flatnonzero(change))
 
 
 def scan_seeds(summaries: list, carry: dict, spec: RuleSpec) -> dict:
@@ -199,27 +195,37 @@ def scan_seeds(summaries: list, carry: dict, spec: RuleSpec) -> dict:
     from ``carry`` (conv -> carry-state, advanced in place past every
     block) and return each block's incoming state ``{(conv, blk): seed}``."""
     seeds: dict = {}
-    for cid, blk, _first_turn, summ in sorted(summaries, key=lambda x: (x[0], x[2])):
+    for cid, blk, summ in sorted(summaries, key=lambda x: x[:2]):
         prev = carry.get(cid)
         seeds[(cid, blk)] = prev or {}
         carry[cid] = merge_state(prev, summ, spec)
     return seeds
 
 
-def eval_seeded_blocks(held: list, seeds: dict, spec: RuleSpec, rule_plans) -> pa.Table | None:
-    """Evaluate held blocks, each from its scanned incoming seed; None when
-    nothing is left after the cross-epoch dedup against the seed.
-    ``eval_released`` writes into the state dict it is given, so each block
-    evaluates on a copy of its seed: no seed ever aliases the scan's carry,
-    whether or not a Ray call (which copies arguments) sits in between."""
-    outs = []
-    for cid, b, block in held:
-        states = {cid: dict(seeds.get((cid, b)) or {})}
-        block = sort_and_dedup(block, states)
-        if block.num_rows:
-            out, _ = eval_released(block, spec, rule_plans, states, LabelStore(), {})
-            outs.append(out)
-    return pa.concat_tables(outs, promote_options="default") if outs else None
+def eval_seeded_blocks(
+    held: pa.Table | None, seeds: dict, spec: RuleSpec, rule_plans, block_turns: int
+) -> pa.Table | None:
+    """Evaluate held hot rows in one call, each ``(conv, blk)`` run from
+    its scanned incoming seed; None when nothing is left.  Rows at or
+    below their seed's ``last_turn`` (a re-delivery of turns an earlier
+    epoch processed) are dropped first, as ``sort_and_dedup`` drops them
+    against a conversation's carry.  Seeds are only read: the driver scan
+    has already advanced the carry past every block."""
+    if held is None:
+        return None
+    change, blk, cids = _block_runs(held, block_turns)
+    run_seeds = [seeds.get(key) or None for key in zip(cids, blk[change].tolist())]
+    last = np.array(
+        [s.get("last_turn", NEG_INF) if s else NEG_INF for s in run_seeds], dtype=np.int64
+    )
+    run = np.cumsum(change) - 1
+    keep = held["turn_idx"].to_numpy() > last[run]
+    if not keep.all():
+        held, run = held.filter(pa.array(keep)), run[keep]
+        if held.num_rows == 0:
+            return None
+        change = np.append(True, run[1:] != run[:-1])
+    return eval_runs(held, spec, rule_plans, change, [run_seeds[g] for g in run[change]])
 
 
 @ray.remote

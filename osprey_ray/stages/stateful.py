@@ -8,8 +8,10 @@ runs of ordered rows, each run seeded from its carried state, leaving each
 run's carry-out.  A run is any group of consecutive rows:
 :func:`eval_released` scans conversations (carry read in one gather,
 written back in one pass), and hot-conversation salting scans ``(conv,
-turn block)`` runs unseeded to summarise blocks — no window math runs per
-conversation or per block.
+turn block)`` runs, unseeded to summarise blocks and seeded in one
+:func:`eval_runs` call to evaluate them — no window math runs per
+conversation or per block.  Rule values (:func:`_rule_values`) and output
+assembly (:func:`_assemble`) likewise exist once for both kinds of run.
 The label subsystem — whose read-your-writes ordering is inherently
 sequential (a turn's LabelAdd is visible to later turns but not itself,
 mirroring write-after-classify in
@@ -510,8 +512,8 @@ def eval_released(
 
     Window math reads each conversation's carry from ``states`` (empty for a
     fresh batch run) and runs as whole-array scans.  ``persist`` writes the
-    advanced carry back into ``states``: streaming shards and salted blocks
-    keep it (the default), batch callers discard it (``persist=False``).
+    advanced carry back into ``states``: streaming shards keep it (the
+    default), batch callers discard it (``persist=False``).
 
     Returns (execution-results table, applied label mutations
     [(conv_id, ts_us, label, status)]).
@@ -519,7 +521,6 @@ def eval_released(
     label_events = label_events or {}
     n = tbl.num_rows
     hl_feats = [s for s in spec.stateful if isinstance(s, HasLabel)]
-    out_schema_cols = _output_columns(tbl, spec)
     if n == 0:
         return _empty_output(tbl, spec), []
 
@@ -535,10 +536,9 @@ def eval_released(
     carried = _carried(states, group_cids) if states else None
 
     sf_vals: dict[str, np.ndarray] = {}
-    for sf in spec.stateful:
-        if isinstance(sf, HasLabel):
-            default = sf.status == "removed" and sf.manual != "yes"
-            sf_vals[sf.name] = np.full(n, default, dtype=bool)
+    for sf in hl_feats:
+        default = sf.status == "removed" and sf.manual != "yes"
+        sf_vals[sf.name] = np.full(n, default, dtype=bool)
 
     # ---- window features: whole-array scans seeded from the carry --------
     win_vals, kv_arrays, carry_out = scan_windows(tbl, spec, change, carried, persist)
@@ -550,21 +550,8 @@ def eval_released(
                 if vals[gi] is not None:
                     st[key] = vals[gi]
 
-    # ---- augmented table + non-label rule values ------------------------
-    aug_cols = {name: tbl[name] for name in tbl.column_names}
-    for name, arr in sf_vals.items():
-        aug_cols[name] = pa.array(arr)
-    aug_cols.update(kv_arrays)
-    aug = pa.table(aug_cols)
-    ctx = EvalContext(aug)
-
-    rule_vals: dict[str, np.ndarray] = {}
-    for rp in rule_plans:
-        val = pc.fill_null(aug[f"__rulepre_{rp.name}"], False).to_numpy(zero_copy_only=False).copy()
-        for conj in rp.stateful_nonlabel:
-            cv = _bool_operand(_as_array(conj.eval_batch(ctx), n)).to_numpy(zero_copy_only=False)
-            val &= cv
-        rule_vals[rp.name] = val
+    # ---- non-label rule values, then the label pass ----------------------
+    aug, rule_vals = _rule_values(tbl, sf_vals, kv_arrays, rule_plans)
 
     # ---- label subsystem (sequential, only for active conversations) ----
     label_triggers = [
@@ -783,7 +770,7 @@ def eval_released(
     # label-gated rule values, vectorized over the exact HasLabel columns
     # (identical to what the sparse walk used at firing time)
     if label_rule_plans:
-        hl_cols = dict(aug_cols)
+        hl_cols = dict(zip(aug.column_names, aug.columns))
         for hl in hl_feats:
             hl_cols[hl.name] = pa.array(sf_vals[hl.name])
         hctx = EvalContext(pa.table(hl_cols))
@@ -794,6 +781,44 @@ def eval_released(
                 )
                 rule_vals[rp.name] &= cv
 
+    return _assemble(tbl, spec, sf_vals, kv_arrays, rule_vals), mutations
+
+
+def eval_runs(tbl: pa.Table, spec: RuleSpec, rule_plans, change, carried: list) -> pa.Table:
+    """Evaluate ordered rows of a label-free spec split into runs
+    (``change`` marks run starts, as in :func:`scan_windows`), run g from
+    ``carried[g]``, writing no carry back: salting's seeded eval of every
+    held ``(conv, turn block)`` run in one call."""
+    sf_vals, kv_arrays, _ = scan_windows(tbl, spec, change, carried, persist=False)
+    _, rule_vals = _rule_values(tbl, sf_vals, kv_arrays, rule_plans)
+    return _assemble(tbl, spec, sf_vals, kv_arrays, rule_vals)
+
+
+def _rule_values(tbl: pa.Table, sf_vals: dict, kv_arrays: dict, rule_plans) -> tuple[pa.Table, dict]:
+    """The augmented table (input columns plus feature and KvCache values)
+    and every rule's value short of its label-gated conjuncts."""
+    n = tbl.num_rows
+    aug = pa.table({
+        **dict(zip(tbl.column_names, tbl.columns)),
+        **{name: pa.array(arr) for name, arr in sf_vals.items()},
+        **kv_arrays,
+    })
+    ctx = EvalContext(aug)
+
+    rule_vals: dict[str, np.ndarray] = {}
+    for rp in rule_plans:
+        val = pc.fill_null(aug[f"__rulepre_{rp.name}"], False).to_numpy(zero_copy_only=False).copy()
+        for conj in rp.stateful_nonlabel:
+            cv = _bool_operand(_as_array(conj.eval_batch(ctx), n)).to_numpy(zero_copy_only=False)
+            val &= cv
+        rule_vals[rp.name] = val
+    return aug, rule_vals
+
+
+def _assemble(tbl: pa.Table, spec: RuleSpec, sf_vals, kv_arrays, rule_vals) -> pa.Table:
+    """The execution-results table: output input columns, feature values,
+    rule values and, with triggers, the verdict and fired-rule lists."""
+    n = tbl.num_rows
     # ---- triggers → verdicts --------------------------------------------
     # one boolean column per name: a verdict is on where any trigger that
     # declares it fires; a rule is on where it is true and sits in some
@@ -813,14 +838,9 @@ def eval_released(
     # (conv_id travels the exchange dictionary-encoded; outputs decode back
     # to plain string so sinks/consumers see the declared schema)
     out: dict[str, pa.Array] = {}
-    for name in out_schema_cols:
-        if name in tbl.column_names:
-            col_out = tbl[name]
-            if pa.types.is_dictionary(
-                col_out.type if not isinstance(col_out, pa.ChunkedArray) else col_out.type
-            ):
-                col_out = col_out.cast(pa.string())
-            out[name] = col_out
+    for name in _output_columns(tbl, spec):
+        c = tbl[name]
+        out[name] = c.cast(pa.string()) if pa.types.is_dictionary(c.type) else c
     for sf in spec.stateful:
         if isinstance(sf, SessionWindow):
             out[f"{sf.name}__id"] = pa.array(sf_vals[f"{sf.name}__id"])
@@ -835,7 +855,7 @@ def eval_released(
         out["__verdicts"] = _name_lists(verdict_mask, n)
         out["__rules_fired"] = _name_lists(rule_mask, n)
     out["__error_count"] = tbl["__error_count"]
-    return pa.table(out), mutations
+    return pa.table(out)
 
 
 def _name_lists(masks: dict[str, np.ndarray], n: int) -> pa.ListArray:
@@ -858,30 +878,18 @@ def _output_columns(tbl: pa.Table, spec: RuleSpec) -> list[str]:
 
 
 def _empty_output(tbl: pa.Table, spec: RuleSpec) -> pa.Table:
-    out: dict[str, pa.Array] = {}
-    for name in _output_columns(tbl, spec):
-        out[name] = tbl[name]
+    """The 0-row execution-results table, typed as a non-empty one."""
+    sf_vals, kv_arrays = {}, {}
     for sf in spec.stateful:
-        if isinstance(sf, SessionWindow):
-            out[f"{sf.name}__id"] = pa.array([], pa.int64())
-            out[f"{sf.name}__count"] = pa.array([], pa.int64())
-        elif isinstance(
-            sf,
-            (IncrementWindow, TumblingCount, TumblingSum, TumblingMax, TumblingDistinct, WindowCount),
-        ):
-            out[sf.name] = pa.array([], pa.int64())
-        elif isinstance(sf, KvCache):
-            vt = tbl.schema.field(f"__sfv_{sf.name}").type
-            out[sf.name] = pa.array([], vt)
+        if isinstance(sf, KvCache):
+            kv_arrays[sf.name] = pa.array([], tbl.schema.field(f"__sfv_{sf.name}").type)
+        elif isinstance(sf, SessionWindow):
+            sf_vals[f"{sf.name}__id"] = sf_vals[f"{sf.name}__count"] = np.zeros(0, np.int64)
         else:
-            out[sf.name] = pa.array([], pa.bool_())
-    for r in spec.rules:
-        out[r.name] = pa.array([], pa.bool_())
-    if spec.triggers:
-        out["__verdicts"] = pa.array([], pa.list_(pa.string()))
-        out["__rules_fired"] = pa.array([], pa.list_(pa.string()))
-    out["__error_count"] = tbl["__error_count"]
-    return pa.table(out)
+            flag = isinstance(sf, (SequenceMatch, HasLabel))
+            sf_vals[sf.name] = np.zeros(0, bool if flag else np.int64)
+    rule_vals = {r.name: np.zeros(0, bool) for r in spec.rules}
+    return _assemble(tbl, spec, sf_vals, kv_arrays, rule_vals)
 
 
 class StatefulPartitionEval:

@@ -50,6 +50,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from osprey_ray.io import write_parquet_atomic
 from osprey_ray.rules import RuleSpec
 from osprey_ray.stages.salted import HOT_BLOCK_TURNS, check_hot_routing, scan_seeds
 from osprey_ray.stages.stateful import route_keys
@@ -58,7 +59,9 @@ from osprey_ray.state.carry import (
     decode_carry, encode_carry, from_ipc, ipc_schema, read_checkpoint, to_ipc,
     write_checkpoint,
 )
-from osprey_ray.streaming.shard import StateShard
+from osprey_ray.streaming.shard import (
+    StateShard, emit_closed_windows, merge_window_partial, window_families,
+)
 from osprey_ray.streaming.source import SegmentLogStream
 
 I64_MIN = np.iinfo(np.int64).min
@@ -496,7 +499,7 @@ class StreamingJob:
                 watermark = max(watermark, basis - self.lateness_us)
             stats_refs = [
                 self.shards[p].process.remote(
-                    e, [r[p] for r in read_refs], watermark, not recovery
+                    e, watermark, *[r[p] for r in read_refs], write=not recovery
                 )
                 for p in range(self.P)
             ]
@@ -615,9 +618,7 @@ class StreamingJob:
         offsets = None if end is None else {"start": end, "end": end}
         t0 = time.perf_counter()
         wm = int(np.iinfo(np.int64).max)
-        stats = ray.get(
-            [self.shards[p].process.remote(e, [], wm, True) for p in range(self.P)]
-        )
+        stats = ray.get([s.process.remote(e, wm) for s in self.shards])
         hot = self._hot_phase(e, stats, wm, self.spec, write=True)
         snapshots = ray.get([s.snapshot.remote(self.ckpt_dir, e) for s in self.shards])
         m = self._commit(
@@ -637,9 +638,6 @@ class StreamingJob:
         dicts — never rows."""
         if not self.hot_convs:
             return None
-        from osprey_ray.streaming.shard import emit_closed_windows, merge_window_partial
-        from osprey_ray.rules import SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum
-
         out = {"files": [], "released": 0, "fired": 0, "windows_file": None}
         summaries = [t for s in stats for t in s.get("hot_summaries", [])]
         if summaries:
@@ -655,17 +653,10 @@ class StreamingJob:
                     out["files"].append(h["file"])
                 for key, val in h["win_partials"]:
                     merge_window_partial(self.hot_open_windows, tuple(key), val)
-        tumbling = [s for s in spec.stateful if isinstance(s, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct))]
-        sessions = [s for s in spec.stateful if isinstance(s, SessionWindow)]
-        win_tbl = emit_closed_windows(self.hot_open_windows, tumbling, sessions, watermark)
+        win_tbl = emit_closed_windows(self.hot_open_windows, *window_families(spec), watermark)
         if write and win_tbl is not None:
-            import pyarrow.parquet as pq
-
             name = f"windows-e{e:05d}-hot.parquet"
-            final = os.path.join(self.data_dir, name)
-            tmp = final + f".tmp.{os.getpid()}"
-            pq.write_table(win_tbl, tmp)
-            os.replace(tmp, final)
+            write_parquet_atomic(win_tbl, os.path.join(self.data_dir, name))
             out["windows_file"] = name
         return out
 

@@ -13,13 +13,16 @@ Responsibilities:
   matter the arrival interleaving, so streaming output is bit-identical to
   the batch/oracle run as long as disorder ≤ allowed lateness);
 - drop rows older than the watermark (late data) and count them;
+- receive each epoch's routed slices as top-level arguments of
+  :meth:`StateShard.process`, so Ray fetches them before the call starts;
 - run :func:`osprey_ray.stages.stateful.eval_released` over each released
   slice with carried per-conversation state + the shard's LabelStore;
-- carve routed hot-conversation blocks off the released slice and hold
-  them until the driver's scan seeds their evaluation
+- carve routed hot-conversation rows off the released slice and hold them
+  as one table until the driver's scan seeds their one-call evaluation
   (:meth:`StateShard.eval_held_blocks`; protocol in stages/salted.py);
 - write its own output partition ``part-e{epoch}-p{part}.parquet`` via
-  tmp+atomic-rename (idempotent: deterministic bytes, safe to re-run);
+  ``io.write_parquet_atomic`` (idempotent: deterministic bytes, safe to
+  re-run);
 - snapshot/restore its full state for checkpoints, columnar: the carry
   ``states`` as one Arrow table with a row per conversation and each
   pending table as Arrow IPC (codec in :mod:`osprey_ray.state.carry`), so
@@ -44,7 +47,10 @@ import pyarrow.parquet as pq
 
 import ray
 
-from osprey_ray.rules import RuleSpec
+from osprey_ray.io import write_parquet_atomic
+from osprey_ray.rules import (
+    RuleSpec, SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum,
+)
 from osprey_ray.stages.salted import HOT_BLOCK_TURNS, carve_hot_blocks, eval_seeded_blocks
 from osprey_ray.stages.stateful import _conv_codes, eval_released, route_keys, sort_and_dedup
 from osprey_ray.stages.stateless import split_rules
@@ -92,6 +98,16 @@ def merge_window_partial(acc: dict, key: tuple, val) -> None:
         cur[0] = min(cur[0], val[0])
         cur[1] = max(cur[1], val[1])
         cur[2] = max(cur[2], val[2])
+
+
+def window_families(spec: RuleSpec) -> tuple[list, list]:
+    """The spec's (tumbling, session) window features: the windows the
+    watermark closes and emits."""
+    tumbling = [
+        s for s in spec.stateful
+        if isinstance(s, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct))
+    ]
+    return tumbling, [s for s in spec.stateful if isinstance(s, SessionWindow)]
 
 
 def emit_closed_windows(
@@ -157,8 +173,6 @@ class StateShard:
         late_output: bool = False,
         state_ttl_us: int | None = None,
     ):
-        from osprey_ray.rules import SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum
-
         self.spec = spec
         self.part = part
         self.out_dir = out_dir
@@ -172,7 +186,7 @@ class StateShard:
         # and seeds the evaluation (streaming/job.py _hot_phase).
         self.hot_convs = hot_convs or frozenset()
         self.hot_block_turns = hot_block_turns
-        self._held_blocks: dict[int, list] = {}  # epoch -> [(cid, blk, tbl)]
+        self._held_blocks: dict[int, pa.Table] = {}  # epoch -> held hot rows
         self.states: dict = {}
         # conv -> newest event ts (µs) for TTL eviction — kept OUT of the
         # per-conversation state dicts so a user feature named
@@ -196,8 +210,7 @@ class StateShard:
         self._spill_seq = 0
         self._consumed_spills: list[str] = []
         self.watermark: int = np.iinfo(np.int64).min
-        self.tumbling = [s for s in spec.stateful if isinstance(s, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct))]
-        self.sessions = [s for s in spec.stateful if isinstance(s, SessionWindow)]
+        self.tumbling, self.sessions = window_families(spec)
         # open window accumulators, evicted when the watermark passes:
         #   ("t", feature, conv_id, bucket_start_us) -> count
         #   ("s", feature, conv_id, session_id) -> [start_us, end_us, count]
@@ -230,12 +243,9 @@ class StateShard:
         accumulators and armed pattern state whose feature or pattern left
         the spec are dropped (their window config is gone, so they could
         never close)."""
-        from osprey_ray.rules import SessionWindow, TumblingCount, TumblingDistinct, TumblingMax, TumblingSum
-
         self.spec = spec
         self.rule_plans = split_rules(spec)
-        self.tumbling = [s for s in spec.stateful if isinstance(s, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct))]
-        self.sessions = [s for s in spec.stateful if isinstance(s, SessionWindow)]
+        self.tumbling, self.sessions = window_families(spec)
         live = {s.name for s in self.tumbling} | {s.name for s in self.sessions}
         self.open_windows = {
             k: v for k, v in self.open_windows.items() if k[1] in live
@@ -247,22 +257,12 @@ class StateShard:
         return True
 
     def process(
-        self,
-        epoch: int,
-        tables: list[pa.Table],
-        watermark_us: int,
-        write: bool = True,
+        self, epoch: int, watermark_us: int, *tables: pa.Table, write: bool = True
     ) -> dict:
-        """Ingest this epoch's routed rows, release everything ≤ watermark,
-        evaluate, write the output partition.  Returns stats."""
-        # tables arrive as a list of ObjectRefs (nested refs are not
-        # auto-resolved by Ray) — batch-fetch them shard-side (one ray.get
-        # for the whole list; per-ref gets serialize on the object store)
-        refs = [t for t in tables if isinstance(t, ray.ObjectRef)]
-        if refs:
-            fetched = iter(ray.get(refs))
-            tables = [next(fetched) if isinstance(t, ray.ObjectRef) else t for t in tables]
-        incoming = [t for t in tables if t is not None and t.num_rows]
+        """Ingest this epoch's routed rows (one table per read task, top-level
+        arguments that Ray resolves before the call), release everything ≤
+        watermark, evaluate, write the output partition.  Returns stats."""
+        incoming = [t for t in tables if t.num_rows]
         late_dropped = 0
         late_parts: list[pa.Table] = []
         for t in incoming:
@@ -333,7 +333,7 @@ class StateShard:
                 released, held, hot_summaries = carve_hot_blocks(
                     released, self.spec, self.hot_convs, self.hot_block_turns
                 )
-                if held:
+                if held is not None:
                     self._held_blocks[epoch] = held
             out, muts = eval_released(
                 released, self.spec, self.rule_plans, self.states, self.labels, self.label_events
@@ -362,7 +362,9 @@ class StateShard:
                  ("ts", "ascending")]
             )
         if self.tumbling or self.sessions:
-            win_tbl = self._emit_closed_windows(watermark_us)
+            win_tbl = emit_closed_windows(
+                self.open_windows, self.tumbling, self.sessions, watermark_us
+            )
         streams = {"results": out, "labels": labels_tbl, "late": late_tbl,
                    "pairs": pair_tbl, "windows": win_tbl, "absence": alert_tbl}
         files: dict[str, str | None] = {}
@@ -398,13 +400,14 @@ class StateShard:
 
     def eval_held_blocks(self, epoch: int, seeds: dict, write: bool = True) -> dict:
         """Seeded eval of the routed hot-conversation exchange: evaluate the
-        blocks :meth:`process` held for ``epoch``, each seeded
-        with the driver's scan-merged incoming carry state.  Returns the
+        rows :meth:`process` held for ``epoch`` in one call, each block
+        seeded with the driver's scan-merged incoming carry state.  Returns the
         output file plus compact window partials (the driver owns hot
         conversations' open-window accumulators — a hot window spans
         shards, so per-shard accumulation would emit partial duplicates)."""
         out = eval_seeded_blocks(
-            self._held_blocks.pop(epoch, []), seeds, self.spec, self.rule_plans
+            self._held_blocks.pop(epoch, None), seeds, self.spec, self.rule_plans,
+            self.hot_block_turns,
         )
         if out is None:
             return {"part": self.part, "file": None, "released": 0, "fired": 0,
@@ -470,11 +473,6 @@ class StateShard:
                     acc, ("s", sf.name, names[c], int(s_)), (int(lo), int(hi), int(k))
                 )
 
-    def _emit_closed_windows(self, watermark_us: int) -> pa.Table | None:
-        return emit_closed_windows(
-            self.open_windows, self.tumbling, self.sessions, watermark_us
-        )
-
     def _spill_pending(self) -> None:
         tbl = pa.concat_tables(self.pending, promote_options="default")
         ts = tbl["ts"].cast(pa.int64())
@@ -484,9 +482,7 @@ class StateShard:
             spill_dir, f"spill-p{self.part:04d}-{self._spill_seq:06d}.parquet"
         )
         self._spill_seq += 1
-        tmp = path + f".tmp.{os.getpid()}"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+        write_parquet_atomic(tbl, path)
         self.spilled.append(
             {"path": path, "min_ts": pc.min(ts).as_py(), "rows": tbl.num_rows}
         )
@@ -499,20 +495,9 @@ class StateShard:
             # output stream (ref output_sink.py per-sink timeout rationale)
             sched = self.fault_injection.get(prefix)
             if sched:
-                import time as _time
-
-                _time.sleep(sched.pop(0))
-        import uuid
-
+                time.sleep(sched.pop(0))
         name = f"{prefix}-e{epoch:05d}-p{self.part:04d}.parquet"
-        final = os.path.join(self.out_dir, name)
-        # tmp unique per ATTEMPT (not just per pid): a timed-out first write
-        # may still be running in its abandoned thread when the retry
-        # starts; both os.replace the same deterministic content, so last
-        # writer wins harmlessly, but they must not share a tmp file
-        tmp = final + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-        pq.write_table(out, tmp)
-        os.replace(tmp, final)  # atomic on POSIX
+        write_parquet_atomic(out, os.path.join(self.out_dir, name))
         return name
 
     def _guarded_write(self, stream: str, fn, failures: dict):

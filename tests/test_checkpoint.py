@@ -84,7 +84,7 @@ def test_snapshot_roundtrip_no_ray(transcripts, tmp_path, spec_name):
     sh = Shard(spec, 0, str(tmp_path / "data"), lev)
     keys: set = set()
     for e, (rows, wm) in enumerate(_epochs(tbl, spec)):
-        sh.process(e, [rows], wm, write=False)
+        sh.process(e, wm, rows, write=False)
         info = sh.snapshot(str(tmp_path / "ckpt"), e)
         assert info["bytes"] > 0 and info["s"] >= 0
         fresh = Shard(spec, 0, str(tmp_path / "data"), lev)
@@ -107,8 +107,8 @@ def test_snapshot_roundtrip_no_ray(transcripts, tmp_path, spec_name):
         assert any(isinstance(v[2], frozenset) for v in capped)
     # the restored shard carries on exactly like the original
     flush = np.iinfo(np.int64).max
-    a = sh.process(EPOCHS, [], flush, write=False)
-    b = fresh.process(EPOCHS, [], flush, write=False)
+    a = sh.process(EPOCHS, flush, write=False)
+    b = fresh.process(EPOCHS, flush, write=False)
     assert a["released"] == b["released"] and a["fired"] == b["fired"]
     _assert_states_equal(fresh.states, sh.states)
 
@@ -141,7 +141,7 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     epochs = _epochs(tbl, spec)[:3]
     for e, (rows, wm) in enumerate(epochs):
         for p, sh in enumerate(old):
-            sh.process(e, [rows.filter(_owned(rows, 2, p))], wm, write=False)
+            sh.process(e, wm, rows.filter(_owned(rows, 2, p)), write=False)
     paths = [sh.snapshot(str(tmp_path / "ckpt"), 2)["path"] for sh in old]
     union = {c: st for sh in old for c, st in sh.states.items()}
 

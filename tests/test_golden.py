@@ -518,8 +518,8 @@ def test_salting_protocol_no_ray(small_data, spec_name, block_turns):
     want, _ = eval_released(tbl, spec, rule_plans, {}, LabelStore(), {}, persist=False)
     hot = frozenset(clean["conv_id"].to_pylist())
     cold, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
-    assert cold.num_rows == 0 and len(held) > len(hot)
-    got = eval_seeded_blocks(held, scan_seeds(summaries, {}, spec), spec, rule_plans)
+    assert cold.num_rows == 0 and len(summaries) > len(hot)
+    got = eval_seeded_blocks(held, scan_seeds(summaries, {}, spec), spec, rule_plans, block_turns)
     assert got.num_rows == want.num_rows
     _cmp_tables(got, want)
     if spec_name == "kitchen_sink_spec":
@@ -554,10 +554,64 @@ def test_salting_from_carry_no_ray(small_data, spec_name, block_turns, k):
     cold, held, summaries = carve_hot_blocks(
         rest, spec, frozenset(clean["conv_id"].to_pylist()), block_turns
     )
-    assert cold.num_rows == 0 and held
-    tail = eval_seeded_blocks(held, scan_seeds(summaries, carry, spec), spec, rule_plans)
+    assert cold.num_rows == 0 and held.num_rows
+    tail = eval_seeded_blocks(
+        held, scan_seeds(summaries, carry, spec), spec, rule_plans, block_turns
+    )
     _cmp_tables(pa.concat_tables([head, tail], promote_options="default"), want)
     _assert_states_equal(carry, one_states)
+
+
+@pytest.mark.parametrize("block_turns,k", [(4, 6), (7, 10), (50, 23)])
+def test_seeded_eval_drops_redelivered_rows_no_ray(small_data, block_turns, k):
+    """Held hot rows include turns at or below their block seed's
+    ``last_turn``, as a hot conversation's rows re-delivered in a later
+    epoch would: the turns below k of the block that straddles k, after the
+    carry has processed every turn below k.  The one-call seeded eval drops
+    exactly those rows, and its output equals the unsalted sort_and_dedup
+    + eval_released run from the same carry."""
+    import copy
+
+    from osprey_ray.pipelines.flagship import flagship_sql_spec
+    from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks, scan_seeds
+    from osprey_ray.stages.stateful import eval_released, sort_and_dedup
+    from osprey_ray.stages.stateless import split_rules
+    from osprey_ray.state.labels import LabelStore
+
+    clean, _ = small_data
+    spec = flagship_sql_spec()
+    rule_plans = split_rules(spec)
+    tbl = sort_and_dedup(compile_stateless(spec)(clean), {})
+    turn = tbl["turn_idx"]
+    early = pc.less(turn, k)
+    carry: dict = {}
+    eval_released(tbl.filter(early), spec, rule_plans, carry, LabelStore(), {})
+    fresh = tbl.filter(pc.invert(early))
+    # re-deliver turns [k - k % B, k) of the conversations that reach turn
+    # k, so the block holding them has a seed
+    reach = pc.unique(fresh.filter(pc.equal(fresh["turn_idx"], k))["conv_id"])
+    again = pc.and_(
+        pc.and_(early, pc.greater_equal(turn, k - k % block_turns)),
+        pc.is_in(tbl["conv_id"], reach),
+    )
+    redelivered = tbl.filter(again)
+    assert redelivered.num_rows
+    incoming = pa.concat_tables([fresh, redelivered])
+
+    hot = frozenset(clean["conv_id"].to_pylist())
+    _, _, summaries = carve_hot_blocks(fresh, spec, hot, block_turns)
+    seeds = scan_seeds(summaries, copy.deepcopy(carry), spec)
+    _, held, _ = carve_hot_blocks(sort_and_dedup(incoming, {}), spec, hot, block_turns)
+    assert held.num_rows == incoming.num_rows
+    got = eval_seeded_blocks(held, seeds, spec, rule_plans, block_turns)
+
+    states = copy.deepcopy(carry)
+    want, _ = eval_released(
+        sort_and_dedup(incoming, states), spec, rule_plans, states, LabelStore(), {},
+        persist=False,
+    )
+    assert got.num_rows == want.num_rows == fresh.num_rows
+    _cmp_tables(got, want)
 
 
 def _label_fields_spec():

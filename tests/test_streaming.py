@@ -368,7 +368,7 @@ def test_spill_gc_deferred_to_manifest_commit(stream_data, tmp_path):
     # the crash window: epoch 3 processes (consuming every spill via a
     # jumped watermark), snapshot-3 is written, manifest-3 is NOT
     wm = int(np.iinfo(np.int64).max)
-    ray.get([s.process.remote(3, [], wm, False) for s in j1.shards])
+    ray.get([s.process.remote(3, wm, write=False) for s in j1.shards])
     ray.get([s.snapshot.remote(j1.ckpt_dir, 3) for s in j1.shards])
     after = set(glob.glob(spill_glob))
     assert after == before, (
