@@ -96,7 +96,7 @@ class Entity:
     @staticmethod
     def batch(ctx, type, id):
         ids = id if pa.types.is_string(id.type) else pc.cast(id, pa.string())
-        prefix = pa.array([f"{type}/"] * ctx.n)
+        prefix = pa.array([f"{type}/"] * ctx.n, pa.string())
         return pc.binary_join_element_wise(prefix, ids, "")
 
     @staticmethod

@@ -68,6 +68,7 @@ from osprey_ray.stages.salted import (
 )
 from osprey_ray.stages.stateless import compile_stateless
 from osprey_ray.stages.stateful import StatefulPartitionEval, _conv_codes, route_keys
+from osprey_ray.state.carry import Carry
 from osprey_ray.expr import fn
 
 
@@ -336,14 +337,14 @@ def _eval_partition(part, spec, rule_plans, lmap, write_dir, hot, block_turns, *
     """One exchange partition over its routed slices (top-level arguments,
     so Ray fetches them before the task starts): sort/dedup, carve the hot
     conversations' rows (stages/salted.py), evaluate the cold rows in one
-    pass.  Returns (output table | written path | None, block summaries,
-    held hot rows | None)."""
+    pass.  Returns (output table | written path | None, block summaries |
+    None, held hot rows | None)."""
     from osprey_ray.stages.stateful import eval_released, sort_and_dedup
     from osprey_ray.state.labels import LabelStore
 
     live = [t for t in tables if t.num_rows]
     if not live:
-        return None, [], None
+        return None, None, None
     tbl = sort_and_dedup(pa.concat_tables(live, promote_options="default"), {})
     tbl, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
     out, _ = eval_released(tbl, spec, rule_plans, {}, LabelStore(), lmap, persist=False)
@@ -393,15 +394,14 @@ def _run_exchange(
     seeded = []
     if hot:
         summaries = ray.get([s for _o, s, _h in parts])
-        seeds = scan_seeds([s for ss in summaries for s in ss], {}, spec)
-        seeded = [
-            _eval_held.remote(
-                p, parts[p][2], {(c, b): seeds[(c, b)] for c, b, _s in ss},
-                spec, rule_plans, write_dir, block_turns,
-            )
-            for p, ss in enumerate(summaries)
-            if ss
-        ]
+        holders = [p for p, ss in enumerate(summaries) if ss is not None]
+        if holders:
+            summ = pa.concat_tables([summaries[p] for p in holders])
+            seeds = ray.put(scan_seeds(summ, Carry(), spec))
+            seeded = [
+                _eval_held.remote(p, parts[p][2], seeds, spec, rule_plans, write_dir, block_turns)
+                for p in holders
+            ]
     outs = [o for o in ray.get([o for o, _s, _h in parts] + seeded) if o is not None]
     if write_dir is not None:
         return outs

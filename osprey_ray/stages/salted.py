@@ -12,25 +12,25 @@ unsalted evaluation:
    conversations' rows off a sorted, deduped slice and hold them as one
    table, and run ``eval_released``'s window scan
    (``stateful.scan_windows``) once over them with the ``(conv, blk)``
-   blocks as its runs and no seed.  A block's summary is that scan's
-   carry-out for it (the sliding-window event tail, tumbling partial,
-   session tail, CEP first-match tail, last KV write and ``last_turn``)
-   plus its first and last ``ts``.
+   blocks as its runs and no seed.  A block's summary is its row of that
+   scan's carry-out table (``state.carry``) plus its ``blk``, first turn
+   and first and last ``ts``.
 2. **Scan** (:func:`scan_seeds`, driver, cheap) — per conversation,
-   summaries combine in turn order (:func:`merge_state`) from the carry
-   into the state each block starts from.  The combine reads carry values
-   only, one small dict per block; it is associative per feature family
-   (SURVEY §2.9 notes window merges are associative).
+   summaries combine in turn order (:func:`merge_state`, a Python fold
+   over carry-table rows, O(hot blocks); associative per feature family,
+   SURVEY §2.9) from the carry table into a seed table of the state each
+   block starts from.  A block that opens at or below its carried
+   ``last_turn`` cannot be summarised exactly and is refused.
 3. **Seeded eval** (:func:`eval_seeded_blocks`, per partition) — one
    ``stateful.eval_runs`` call over all held rows, the blocks as runs
-   seeded from their scanned states, after one mask drops rows at or below
-   a seed's ``last_turn``.  No carry is written back: the scan advanced it.
+   seeded from their seed rows, after one mask drops rows at or below a
+   seed's ``last_turn``.  No carry is written back: the scan advanced it.
 
 Batch (``pipelines.flagship.run_batch_exchange(hot_convs=...)``, on its
 route and partition tasks) runs the protocol once over the whole input
 with an empty carry; streaming (``StreamingJob(hot_convs=...)``) runs it
-once per epoch, with the carry held by the driver and checkpointed with
-the manifests.  Both route through the one conversation ring
+once per epoch, with the carry table held by the driver and checkpointed
+with the manifests.  Both route through the one conversation ring
 (``stateful.route_keys``), a hot block by its ``conv_id#blk`` key.
 
 Label-dependent specs are rejected (:func:`check_hot_routing`):
@@ -47,6 +47,8 @@ filtering without affecting results.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -55,6 +57,7 @@ import ray
 
 from osprey_ray.rules import (
     IncrementWindow,
+    KvCache,
     RuleSpec,
     SequenceMatch,
     SessionWindow,
@@ -63,7 +66,8 @@ from osprey_ray.rules import (
     TumblingMax,
     TumblingSum,
 )
-from osprey_ray.stages.stateful import NEG_INF, _conv_codes, _group_cids, eval_runs, scan_windows
+from osprey_ray.stages.stateful import NEG_INF, _conv_codes, eval_runs, scan_windows
+from osprey_ray.state.carry import Carry
 
 # turns per salted block (``blk = turn_idx // HOT_BLOCK_TURNS``): the
 # default of batch ``run_batch_exchange(hot_convs=...)`` and of streaming
@@ -91,133 +95,162 @@ def check_hot_routing(spec: RuleSpec) -> None:
             )
 
 
-def merge_state(prev: dict | None, summ: tuple, spec: RuleSpec) -> dict:
-    """Carry state after (prefix → this block): the combine of the carried
-    state ``prev`` with a block summary ``(first_ts, last_ts, carry-out)``,
-    where the carry-out is the state the window scan leaves after the block
-    when it starts from nothing.  Reads carry values only, and writes the
-    state (value types included) that evaluating the block from ``prev``
+# the columns a block summary adds to its carry-out row
+_SUMMARY = ("blk", "first_turn", "first_ts", "last_ts")
+
+
+def merge_state(prev: dict | None, blk: dict, spec: RuleSpec) -> dict:
+    """Carry row after (prefix → this block): the combine of the carried
+    row ``prev`` (None: nothing carried) with a block summary row ``blk``,
+    whose carry-out is the state the window scan leaves after the block
+    when it starts from nothing.  Rows are carry-table rows as Python
+    dicts; the result is the row that evaluating the block from ``prev``
     with ``persist=True`` leaves."""
-    first_ts, last_ts, blk = summ
-    if not prev:
-        return dict(blk)
-    # KvCache: the block's last write wins (the carried one stays when the
-    # block wrote none); last_turn: the block's
-    out = {**prev, **blk}
+    if prev is None:
+        return blk
+    first_ts, last_ts = blk["first_ts"], blk["last_ts"]
+    # last_turn, and the other families by default: the block's
+    out = dict(blk, last_seen=max(prev["last_seen"], blk["last_seen"]))
     for sf in spec.stateful:
         if isinstance(sf, IncrementWindow):
             key = f"w:{sf.name}"
-            pbuf = prev.get(key)
-            if pbuf is not None:
-                keep = pbuf[pbuf > last_ts - np.int64(sf.window_seconds * 1e6)]
-                out[key] = np.concatenate([keep, blk[key]])[-sf.max_events_cap :]
+            if prev[key] is not None:
+                cut = last_ts - int(sf.window_seconds * 1e6)
+                out[key] = ([x for x in prev[key] if x > cut] + blk[key])[-sf.max_events_cap :]
         elif isinstance(sf, SequenceMatch):
             key = f"q:{sf.name}"
-            pbuf = prev.get(key)
-            if pbuf is not None:
-                keep = pbuf[pbuf >= blk["last_turn"] - sf.within_turns]
-                out[key] = np.concatenate([keep, blk[key]])
+            if prev[key] is not None:
+                cut = blk["last_turn"] - sf.within_turns
+                out[key] = [x for x in prev[key] if x >= cut] + blk[key]
         elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)):
             # the carried partial continues only into a block that stays in
             # the carried bucket from its first row to its last (one bucket
             # segment: ts does not decrease along a conversation's turns,
             # which the sliding-window scans rely on too)
             key = f"t:{sf.name}"
-            pv, bv = prev.get(key), blk[key]
-            if pv is None or not pv[0] == bv[0] == first_ts // np.int64(sf.bucket_seconds * 1e6):
+            pv, bv = prev[key], blk[key]
+            bucket = first_ts // int(sf.bucket_seconds * 1e6)
+            if pv is None or not pv["bucket"] == bv["bucket"] == bucket:
                 continue
             if isinstance(sf, TumblingDistinct):
                 cap = sf.max_distinct_cap
-                seen = None if pv[2] is None or bv[2] is None else pv[2] | bv[2]
+                both = pv["seen"] is not None and bv["seen"] is not None
+                seen = sorted({*pv["seen"], *bv["seen"]}) if both else None
                 c = cap if seen is None else min(len(seen), cap)
-                out[key] = (bv[0], c, None if c >= cap else seen)
-            elif isinstance(sf, TumblingMax):
-                out[key] = (bv[0], max(pv[1], bv[1]))
+                out[key] = dict(bv, count=c, seen=None if c >= cap else seen)
             else:
-                out[key] = (bv[0], pv[1] + bv[1])
+                merge = max if isinstance(sf, TumblingMax) else operator.add
+                out[key] = dict(bv, count=merge(pv["count"], bv["count"]))
         elif isinstance(sf, SessionWindow):
             # the block's own session id counts its internal breaks
             key = f"s:{sf.name}"
-            pv = prev.get(key)
+            pv, bv = prev[key], blk[key]
             if pv is not None:
-                lt, breaks, cnt = blk[key]
-                boundary = int(first_ts - pv[0] > np.int64(sf.gap_seconds * 1e6))
-                sid = pv[1] + boundary + breaks
-                out[key] = (lt, sid, cnt if breaks or boundary else pv[2] + cnt)
+                boundary = int(first_ts - pv["last_ts"] > int(sf.gap_seconds * 1e6))
+                cnt = bv["count"] if bv["sid"] or boundary else pv["count"] + bv["count"]
+                out[key] = dict(bv, sid=pv["sid"] + boundary + bv["sid"], count=cnt)
+        elif isinstance(sf, KvCache):
+            # the block's last write wins; the carried one stays otherwise
+            key = f"k:{sf.name}"
+            if blk[key] is None:
+                out[key] = prev[key]
     return out
 
 
 def carve_hot_blocks(
     tbl: pa.Table, spec: RuleSpec, hot: frozenset, block_turns: int
-) -> tuple[pa.Table, pa.Table | None, list]:
+) -> tuple[pa.Table, pa.Table | None, pa.Table | None]:
     """Split the hot conversations' rows off a sorted, deduped slice.
-    Returns ``(cold rows, held hot rows | None, summaries [(conv, blk,
-    (first_ts, last_ts, carry-out))])``: the held rows stay in
-    the slice's order, so each ``(conv, turn_idx // block_turns)`` block is
-    one contiguous run, and the carry-outs come from one unseeded window
-    scan over them with the blocks as its runs.  The summaries feed
-    :func:`scan_seeds`, the held rows :func:`eval_seeded_blocks`."""
+    Returns ``(cold rows, held hot rows | None, summaries | None)``: the
+    held rows stay in the slice's order, so each ``(conv, turn_idx //
+    block_turns)`` block is one contiguous run, and the summaries are the
+    carry-out table of one unseeded window scan over them with the blocks
+    as its runs, plus each block's ``blk``, ``first_turn``, ``first_ts``
+    and ``last_ts``.  The summaries feed :func:`scan_seeds`, the held rows
+    :func:`eval_seeded_blocks`."""
     if not hot or tbl.num_rows == 0:
-        return tbl, None, []
+        return tbl, None, None
     codes, dictionary = _conv_codes(tbl)
     hot_code = pc.is_in(dictionary, pa.array(list(hot), dictionary.type))
     row_hot = hot_code.to_numpy(zero_copy_only=False)[codes]
     if not row_hot.any():  # a shipped dictionary may name absent convs
-        return tbl, None, []
+        return tbl, None, None
     held = tbl.filter(pa.array(row_hot))
-    change, blk, cids = _block_runs(held, block_turns)
-    _, _, carry_out = scan_windows(held, spec, change, None, persist=True)
+    change, blk = _block_runs(held, block_turns)
+    _, _, summaries = scan_windows(held, spec, change, None, persist=True)
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], held.num_rows)
     ts = held["ts"].cast(pa.int64()).to_numpy()
-    summaries = [
-        (cid, b, (ts0, ts1, {key: vals[g] for key, vals in carry_out if vals[g] is not None}))
-        for g, (cid, b, ts0, ts1) in enumerate(
-            zip(cids, blk[starts].tolist(), ts[starts].tolist(), ts[ends - 1].tolist())
-        )
-    ]
+    turn = held["turn_idx"].to_numpy().astype(np.int64)
+    for name, vals in zip(_SUMMARY, (blk[starts], turn[starts], ts[starts], ts[ends - 1])):
+        summaries = summaries.append_column(name, pa.array(vals))
     return tbl.filter(pa.array(~row_hot)), held, summaries
 
 
-def _block_runs(tbl: pa.Table, block_turns: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _block_runs(tbl: pa.Table, block_turns: int) -> tuple[np.ndarray, np.ndarray]:
     """Runs of ``(conv, turn_idx // block_turns)`` over grouped, ordered
-    rows: (run-start mask, per-row block, conv_id of each run)."""
-    codes, dictionary = _conv_codes(tbl)
+    rows: (run-start mask, per-row block)."""
+    codes, _ = _conv_codes(tbl)
     blk = tbl["turn_idx"].to_numpy().astype(np.int64) // np.int64(block_turns)
     change = np.empty(len(codes), dtype=bool)
     change[0] = True
     change[1:] = (codes[1:] != codes[:-1]) | (blk[1:] != blk[:-1])
-    return change, blk, _group_cids(dictionary, codes, np.flatnonzero(change))
+    return change, blk
 
 
-def scan_seeds(summaries: list, carry: dict, spec: RuleSpec) -> dict:
+def _block_keys(cids, blk) -> pa.Array:
+    """``conv_id#blk`` key of each block."""
+    return pc.binary_join_element_wise(pc.cast(cids, pa.string()), pc.cast(blk, pa.string()), "#")
+
+
+def scan_seeds(summaries: pa.Table, carry: Carry, spec: RuleSpec) -> pa.Table:
     """Driver scan: per conversation, combine block summaries in turn order
-    from ``carry`` (conv -> carry-state, advanced in place past every
-    block) and return each block's incoming state ``{(conv, blk): seed}``."""
-    seeds: dict = {}
-    for cid, blk, summ in sorted(summaries, key=lambda x: x[:2]):
-        prev = carry.get(cid)
-        seeds[(cid, blk)] = prev or {}
-        carry[cid] = merge_state(prev, summ, spec)
-    return seeds
+    from the carry table ``carry`` (advanced in place past every block) and
+    return each block's incoming state: a seed table aligned to
+    ``summaries``' rows, with their ``conv_id`` and ``blk``.  Raises
+    ``ValueError`` for a block that opens at or below its carried
+    ``last_turn``: its rows were summarised as new turns, which the
+    partitioning assumption (ts non-decreasing in turn_idx, so such a row
+    is late-dropped first) rules out."""
+    schema = pa.schema([f for f in summaries.schema if f.name not in _SUMMARY])
+    order = pc.sort_indices(summaries, [("conv_id", "ascending"), ("blk", "ascending")])
+    carried = carry.gather(pc.unique(summaries["conv_id"]), schema)
+    rows = [] if carried is None else carried.to_pylist()
+    state = {r["conv_id"]: r for r in rows if r["conv_id"] is not None}
+    seeds: list = [None] * summaries.num_rows
+    for i, row in zip(order.to_pylist(), summaries.take(order).to_pylist()):
+        cid = row["conv_id"]
+        prev = state.get(cid)
+        if prev is not None and row["first_turn"] <= prev["last_turn"]:
+            raise ValueError(
+                f"hot conversation {cid!r} block {row['blk']} opens at turn {row['first_turn']}, "
+                f"at or below its carried last_turn {prev['last_turn']}: its ts decreased along "
+                "its turns, against the partitioning assumption (ts non-decreasing in turn_idx)"
+            )
+        seeds[i] = prev or {}
+        state[cid] = merge_state(prev, row, spec)
+    carry.update(pa.Table.from_pylist(list(state.values()), schema=schema))
+    out = pa.Table.from_pylist(seeds, schema=schema)
+    return out.set_column(0, "conv_id", summaries["conv_id"]).append_column("blk", summaries["blk"])
 
 
 def eval_seeded_blocks(
-    held: pa.Table | None, seeds: dict, spec: RuleSpec, rule_plans, block_turns: int
+    held: pa.Table | None, seeds: pa.Table, spec: RuleSpec, rule_plans, block_turns: int
 ) -> pa.Table | None:
     """Evaluate held hot rows in one call, each ``(conv, blk)`` run from
-    its scanned incoming seed; None when nothing is left.  Rows at or
-    below their seed's ``last_turn`` (a re-delivery of turns an earlier
-    epoch processed) are dropped first, as ``sort_and_dedup`` drops them
-    against a conversation's carry.  Seeds are only read: the driver scan
-    has already advanced the carry past every block."""
+    its row of the seed table ``seeds`` (from :func:`scan_seeds`); None
+    when nothing is left.  Rows at or below their seed's ``last_turn`` (a
+    re-delivery of turns an earlier epoch processed) are dropped first, as
+    ``sort_and_dedup`` drops them against a conversation's carry.  Seeds
+    are only read: the driver scan has already advanced the carry past
+    every block."""
     if held is None:
         return None
-    change, blk, cids = _block_runs(held, block_turns)
-    run_seeds = [seeds.get(key) or None for key in zip(cids, blk[change].tolist())]
-    last = np.array(
-        [s.get("last_turn", NEG_INF) if s else NEG_INF for s in run_seeds], dtype=np.int64
-    )
+    change, blk = _block_runs(held, block_turns)
+    starts = np.flatnonzero(change)
+    keys = _block_keys(held["conv_id"].take(pa.array(starts)), pa.array(blk[starts]))
+    run_seeds = seeds.take(pc.index_in(keys, _block_keys(seeds["conv_id"], seeds["blk"])))
+    last = pc.fill_null(run_seeds["last_turn"], NEG_INF).to_numpy()
     run = np.cumsum(change) - 1
     keep = held["turn_idx"].to_numpy() > last[run]
     if not keep.all():
@@ -225,7 +258,8 @@ def eval_seeded_blocks(
         if held.num_rows == 0:
             return None
         change = np.append(True, run[1:] != run[:-1])
-    return eval_runs(held, spec, rule_plans, change, [run_seeds[g] for g in run[change]])
+        run_seeds = run_seeds.take(pa.array(run[change]))
+    return eval_runs(held, spec, rule_plans, change, run_seeds)
 
 
 @ray.remote

@@ -6,12 +6,13 @@ hash-partitioned by ``conv_id`` and evaluated in strict
 one implementation, :func:`scan_windows`: whole-array segmented scans over
 runs of ordered rows, each run seeded from its carried state, leaving each
 run's carry-out.  A run is any group of consecutive rows:
-:func:`eval_released` scans conversations (carry read in one gather,
-written back in one pass), and hot-conversation salting scans ``(conv,
-turn block)`` runs, unseeded to summarise blocks and seeded in one
-:func:`eval_runs` call to evaluate them — no window math runs per
-conversation or per block.  Rule values (:func:`_rule_values`) and output
-assembly (:func:`_assemble`) likewise exist once for both kinds of run.
+:func:`eval_released` scans conversations (seeds read in one gather of the
+carry table, the carry-out written back as one update), and
+hot-conversation salting scans ``(conv, turn block)`` runs, unseeded to
+summarise blocks and seeded in one :func:`eval_runs` call to evaluate them
+— no window math runs per conversation or per block.  Rule values
+(:func:`_rule_values`) and output assembly (:func:`_assemble`) likewise
+exist once for both kinds of run.
 The label subsystem — whose read-your-writes ordering is inherently
 sequential (a turn's LabelAdd is visible to later turns but not itself,
 mirroring write-after-classify in
@@ -22,21 +23,15 @@ reconstructing HasLabel columns vectorized from a change log.
 The same :func:`eval_released` core serves both execution modes:
 
 - batch: fresh state per partition, one call (watermark = +inf);
-- streaming: a persistent shard actor carries ``states`` / ``label_store``
+- streaming: a persistent shard actor carries a ``Carry`` / ``label_store``
   across micro-batch epochs and calls this on each watermark-released,
   ordered slice of rows.
 
-State carried per conversation (``states[conv_id]``):
-
-- ``w:<name>``  — sorted int64 ts of counted events in a sliding window
-  (the Redis-ZSET analogue, example_plugins/src/udfs/cache.py:161-207);
-- ``t:<name>``  — (current tumbling bucket, running count / sum / max);
-  TumblingDistinct adds the bucket's seen-set (None once saturated);
-- ``s:<name>``  — (last_ts, session_id, count_in_session);
-- ``q:<name>``  — sorted int64 turn_idx of CEP first-step matches;
-- ``k:<name>``  — (ts, value) of the last KvCache set;
-- ``last_turn`` — highest processed turn_idx (cross-epoch dedup guard);
-- ``lev``       — consumed prefix of the external label-event stream.
+State carried per conversation is one row of the carry table
+(``state.carry``: window tails, tumbling and session partials, CEP
+first-match tails, the last KV write, ``last_turn`` and ``last_seen``); the
+label walk's position (consumed label events, queued delayed mutations)
+is kept by the ``LabelStore``.
 """
 
 from __future__ import annotations
@@ -65,6 +60,7 @@ from osprey_ray.rules import (
     WindowCount,
 )
 from osprey_ray.stages.stateless import RulePlan, split_rules
+from osprey_ray.state.carry import Carry, carry_schema
 from osprey_ray.state.labels import LabelStore
 
 NEG_INF = np.iinfo(np.int64).min
@@ -114,17 +110,6 @@ def route_keys(keys, num_parts: int) -> np.ndarray:
     return np.array([zlib.crc32(k.encode()) % num_parts for k in keys], dtype=np.int32)
 
 
-def _group_cids(dictionary: pa.Array, codes: np.ndarray, starts: np.ndarray) -> list:
-    """conv_id of each group, decoded in one dictionary pass."""
-    return dictionary.take(pa.array(codes[starts])).to_pylist()
-
-
-def _carried(states: dict, cids: list) -> list:
-    """The one per-conversation carry gather: each group's state dict, or
-    None when the conversation carries nothing."""
-    return [states.get(c) or None for c in cids]
-
-
 def _in_order(codes: np.ndarray, turn: np.ndarray, ts: np.ndarray) -> bool:
     """True when rows already ascend by (codes, turn, ts): the stable
     lexsort would then be the identity, so it and its take are skipped."""
@@ -136,7 +121,7 @@ def _in_order(codes: np.ndarray, turn: np.ndarray, ts: np.ndarray) -> bool:
     return not (tie & (turn[1:] == turn[:-1]) & (ts[1:] < ts[:-1])).any()
 
 
-def sort_and_dedup(tbl: pa.Table, states: dict) -> pa.Table:
+def sort_and_dedup(tbl: pa.Table, states: Carry | dict | None) -> pa.Table:
     """Order by (conv_id, turn_idx, ts) and exact-dedup on (conv_id,
     turn_idx) keep-first (SURVEY §2.8 — the at-least-once duplicate guard;
     the reference relies on idempotent keyed sinks,
@@ -166,10 +151,8 @@ def sort_and_dedup(tbl: pa.Table, states: dict) -> pa.Table:
     if states:
         # drop rows already processed in earlier epochs
         starts = np.flatnonzero(np.concatenate([[True], ~same_conv]))
-        carried = _carried(states, _group_cids(dictionary, codes, starts))
-        last = np.array(
-            [st.get("last_turn", NEG_INF) if st else NEG_INF for st in carried], dtype=np.int64
-        )
+        seed = states.gather(dictionary.take(pa.array(codes[starts])), columns=["last_turn"])
+        last = pc.fill_null(seed["last_turn"], NEG_INF).to_numpy()
         keep &= turn > np.repeat(last, np.diff(np.append(starts, n)))
     if keep.all():
         return tbl
@@ -227,9 +210,10 @@ def _sliding(key, flag, gidx, starts, ends, bufs, w, side: str, incl_self: bool)
     """Sliding-window event counts for every row in whole-array ops.
 
     Events are the flagged rows, preceded in each group by its carried
-    buffer ``bufs[g]`` (sorted int64 keys, or None).  Each group's timeline
-    is shifted into its own composite range, ``w + 1`` wider than its span,
-    so one searchsorted respects group boundaries.  Far-apart groups would
+    buffer ``bufs[g]`` (a ``list<int64>`` of sorted keys aligned to groups,
+    null where none; ``bufs=None``: no group carries one).  Each group's
+    timeline is shifted into its own composite range, ``w + 1`` wider than
+    its span, so one searchsorted respects group boundaries.  Far-apart groups would
     wrap the int64 offsets, so groups run in chunks whose composite range
     fits: offsets are differences of one wrapping uint64 cumsum, exact
     inside a chunk.
@@ -245,9 +229,9 @@ def _sliding(key, flag, gidx, starts, ends, bufs, w, side: str, incl_self: bool)
     hi_g = np.maximum.reduceat(key, starts)
     blen = np.zeros(G, dtype=np.int64)
     if bufs is not None:
-        blen = np.array([0 if b is None else len(b) for b in bufs], dtype=np.int64)
+        blen = pc.fill_null(pc.list_value_length(bufs), 0).to_numpy().astype(np.int64)
     if blen.any():
-        bev = np.concatenate([b for b in bufs if b is not None]).astype(np.int64)
+        bev = pc.list_flatten(bufs).to_numpy()
         bgid = np.repeat(np.arange(G), blen)
         nz = blen > 0
         bstarts = (np.cumsum(blen) - blen)[nz]
@@ -277,72 +261,95 @@ def _sliding(key, flag, gidx, starts, ends, bufs, w, side: str, incl_self: bool)
     return added - lo, ev, ev_end, lo[ends - 1]
 
 
-def _tumbling_distinct(col, sf, bucket, new_seg, starts, ends, gidx, cont, carry, carry_in, out):
+def _tails(ev: np.ndarray, a: np.ndarray, e: np.ndarray) -> pa.ListArray:
+    """``list<int64>`` whose entry g is ``ev[a[g]:e[g]]``."""
+    lens = e - a
+    offsets = np.zeros(len(a) + 1, dtype=np.int32)
+    np.cumsum(lens, out=offsets[1:])
+    pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - a, lens)
+    return pa.ListArray.from_arrays(pa.array(offsets), pa.array(ev[pos], pa.int64()))
+
+
+def _struct(typ: pa.StructType, arrays: list, valid: np.ndarray | None = None) -> pa.StructArray:
+    """A carry struct column of type ``typ`` from its field arrays."""
+    mask = None if valid is None else pa.array(~valid)
+    return pa.StructArray.from_arrays(
+        [a if isinstance(a, pa.Array) else pa.array(a) for a in arrays],
+        fields=list(typ), mask=mask,
+    )
+
+
+def _tumbling_distinct(col, sf, bucket, new_seg, starts, ends, gidx, cont, carry, seed, typ):
     """Running distinct count of string ``col`` per (conversation, bucket)
     segment, capped.  ``cont[g]`` marks a group whose carried bucket
     continues: ``carry`` holds its carried count on the opening segment and
-    values in its carried seen-set (``carry_in[g][2]``, None once saturated)
-    do not count again there.  Appends the carry-out to ``out`` unless it is
-    None: the last segment's values, plus the seen-set when the opening
-    segment is also the last; None once saturated."""
+    values in its carried seen-set (``seed``'s ``seen`` field, null once
+    saturated) do not count again there.  Returns (counts, carry-out of
+    struct type ``typ`` | None when ``typ`` is None): the bucket, count and
+    sorted seen-set of the last segment — joined by the carried one when
+    the opening segment is also the last — null once saturated."""
     import pandas as pd
 
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     enc = col if pa.types.is_dictionary(col.type) else pc.dictionary_encode(col)
     codes = pc.fill_null(enc.indices.cast(pa.int64()), -1).to_numpy(zero_copy_only=False)
-    dstrs = enc.dictionary.to_pylist()
     # first occurrence of each value within its segment: hash duplicated on
     # a composite seg*K+code key, O(n)
     seg = np.cumsum(new_seg) - 1
-    K = np.int64(len(dstrs) + 2)
+    K = np.int64(len(enc.dictionary) + 2)
     first = ~pd.Series(seg * K + codes).duplicated().to_numpy() & (codes >= 0)
     counted = first
-    if carry_in is not None:
-        lookup = {s: i for i, s in enumerate(dstrs)}
-        seen_keys = [
-            g * int(K) + lookup[v]
-            for g in np.flatnonzero(cont).tolist()
-            for v in (carry_in[g][2] or ())
-            if v in lookup
-        ]
-        if seen_keys:
+    seen_in = sg = None
+    if seed is not None and cont.any():
+        seen_in = pc.struct_field(seed, "seen")
+        sg = pc.list_parent_indices(seen_in).to_numpy()
+        sc = pc.fill_null(pc.index_in(pc.list_flatten(seen_in), enc.dictionary), -1).to_numpy()
+        hit = (sc >= 0) & cont[sg]
+        if hit.any():
             opening = seg == seg[starts][gidx]
-            counted = first & ~(opening & np.isin(gidx * K + codes, seen_keys))
+            counted = first & ~(opening & np.isin(gidx * K + codes, sg[hit] * K + sc[hit]))
     cap = sf.max_distinct_cap
     cnt = np.minimum(_running_segment_count(counted, new_seg, carry), cap)
-    if out is not None:
-        final = cnt[ends - 1].tolist()
-        last_seg = seg[ends - 1]
-        rows = np.flatnonzero(first & (seg == last_seg[gidx]))
-        cut = np.searchsorted(gidx[rows], np.arange(len(starts) + 1)).tolist()
-        row_codes = codes[rows].tolist()
-        only = (last_seg == seg[starts]) & cont  # opening segment is the last
-        vals = []
-        for g, b in enumerate(bucket[ends - 1].tolist()):
-            seen = None
-            if final[g] < cap:
-                seen = frozenset(dstrs[c] for c in row_codes[cut[g] : cut[g + 1]])
-                if only[g] and carry_in[g][2]:
-                    seen = frozenset(seen | carry_in[g][2])
-            vals.append((b, final[g], seen))
-        out.append((f"t:{sf.name}", vals))
-    return cnt
+    if typ is None:
+        return cnt, None
+    final = cnt[ends - 1]
+    live = final < cap  # runs that keep a seen-set
+    last_seg = seg[ends - 1]
+    rows = np.flatnonzero(first & (seg == last_seg[gidx]) & live[gidx])
+    g, vals = gidx[rows], enc.dictionary.take(pa.array(codes[rows]))
+    if seen_in is not None:
+        only = live & cont & (last_seg == seg[starts])  # opening segment is the last
+        keep = only[sg]
+        if keep.any():
+            g = np.concatenate([g, sg[keep]])
+            vals = pa.concat_arrays([vals, pc.list_flatten(seen_in).filter(pa.array(keep))])
+    uniq = pa.table({"g": g, "v": vals}).group_by(["g", "v"]).aggregate([])
+    uniq = uniq.sort_by([("g", "ascending"), ("v", "ascending")])
+    offsets = np.zeros(len(starts) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq["g"].to_numpy(), minlength=len(starts)), out=offsets[1:])
+    seen = pa.ListArray.from_arrays(
+        pa.array(offsets), uniq["v"].combine_chunks(), type=typ.field("seen").type,
+        mask=pa.array(~live),
+    )
+    return cnt, _struct(typ, [bucket[ends - 1], final, seen])
 
 
 def scan_windows(
-    tbl: pa.Table, spec: RuleSpec, change: np.ndarray, carried: list | None, persist: bool
-) -> tuple[dict, dict, list]:
+    tbl: pa.Table, spec: RuleSpec, change: np.ndarray, seeds: pa.Table | None, persist: bool
+) -> tuple[dict, dict, pa.Table | None]:
     """Every window feature as whole-array scans over ordered rows split
     into runs: a run starts at each row where ``change`` is True
-    (``change[0]`` is), and run g starts from the carried state
-    ``carried[g]`` (None: nothing; ``carried=None``: no run carries
-    anything).  :func:`eval_released` runs it over conversations; salting's
-    carve runs it, unseeded, over ``(conv, turn_idx // block_turns)`` blocks.
+    (``change[0]`` is), and run g starts from row g of ``seeds``, a carry
+    table aligned to runs (a null row: nothing; ``seeds=None``: no run
+    carries anything).  :func:`eval_released` runs it over conversations;
+    salting's carve runs it, unseeded, over ``(conv, turn_idx //
+    block_turns)`` blocks.
 
     Returns (per-row feature values, per-row KvCache values, carry-out).
-    With ``persist`` the carry-out lists ``(state key, per-run value |
-    None)``: each run's state after its last row, ``last_turn`` included;
-    without it, it is empty."""
+    With ``persist`` the carry-out is a carry table (``state.carry``) with
+    one row per run: the run's state after its last row, where a KvCache
+    cell the run did not write keeps its seed's and ``last_seen`` is the
+    max of the seed's and the run's; without it, None."""
     n = tbl.num_rows
     turn = tbl["turn_idx"].to_numpy()
     ts = tbl["ts"].cast(pa.int64()).to_numpy()
@@ -350,23 +357,21 @@ def scan_windows(
     ends = np.append(starts[1:], n)
     G = len(starts)
     gidx = np.repeat(np.arange(G), ends - starts)
+    schema = carry_schema(spec, tbl.schema) if persist else None
+    out: dict[str, pa.Array] = {}  # carry-out columns
 
-    def seed(key: str) -> list | None:
-        """Per-group carried value of one state key (None = none)."""
-        if carried is None:
-            return None
-        return [c.get(key) if c else None for c in carried]
+    def seed(key: str) -> pa.Array | None:
+        """The seeds' column of one state key (None: no seeds)."""
+        return None if seeds is None else seeds.column(key).combine_chunks()
 
-    def seed_arrays(key: str, fields: int) -> tuple:
-        """(carried values | None, has carry, field 0, ..., field
-        fields-1) per group; fields are 0 where nothing is carried."""
-        vals = seed(key)
-        if vals is None:
-            return (None, np.zeros(G, dtype=bool)) + (np.zeros(G, dtype=np.int64),) * fields
-        has = np.array([v is not None for v in vals], dtype=bool)
-        return (vals, has) + tuple(
-            np.array([v[i] if v is not None else 0 for v in vals], dtype=np.int64)
-            for i in range(fields)
+    def seed_fields(key: str, *names: str) -> tuple:
+        """(seed column | None, has carry, field arrays...) per run; fields
+        are 0 where nothing is carried."""
+        col = seed(key)
+        if col is None:
+            return (None, np.zeros(G, dtype=bool)) + (np.zeros(G, dtype=np.int64),) * len(names)
+        return (col, col.is_valid().to_numpy(zero_copy_only=False)) + tuple(
+            pc.fill_null(pc.struct_field(col, f), 0).to_numpy() for f in names
         )
 
     def flags(col: str) -> np.ndarray:
@@ -374,7 +379,6 @@ def scan_windows(
 
     sf_vals: dict[str, np.ndarray] = {}
     kv_arrays: dict[str, pa.Array] = {}
-    carry_out: list[tuple[str, list]] = []  # (state key, per-run value | None)
     for sf in spec.stateful:
         if isinstance(sf, (IncrementWindow, WindowCount)):
             # WindowCount is declared before its source window (validated),
@@ -394,9 +398,7 @@ def scan_windows(
                 # evict: outside the window AND cap stored events at the
                 # newest max_events_cap (the reference's zremrangebyrank
                 # bound, cache.py:199-201) so hot keys can't grow state
-                carry_out.append((f"w:{src}", [
-                    ev[max(a, e - cap) : e].copy() for a, e in zip(kf.tolist(), ev_end.tolist())
-                ]))
+                out[f"w:{src}"] = _tails(ev, np.clip(ev_end - cap, kf, ev_end), ev_end)
         elif isinstance(sf, SequenceMatch):
             cnt, ev, ev_end, kf = _sliding(
                 turn.astype(np.int64), flags(f"__sf_{sf.name}"), gidx, starts, ends, seed(f"q:{sf.name}"),
@@ -404,20 +406,20 @@ def scan_windows(
             )
             sf_vals[sf.name] = flags(f"__sf_{sf.name}_b") & (cnt > 0)
             if persist:
-                carry_out.append((f"q:{sf.name}", [
-                    ev[a:e].copy() for a, e in zip(kf.tolist(), ev_end.tolist())
-                ]))
+                out[f"q:{sf.name}"] = _tails(ev, np.minimum(kf, ev_end), ev_end)
         elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)):
+            key = f"t:{sf.name}"
+            typ = schema.field(key).type if persist else None
             bucket = ts // np.int64(sf.bucket_seconds * 1e6)
             new_seg = change.copy()
             new_seg[1:] |= bucket[1:] != bucket[:-1]
-            carry_in, has, c_bucket, c_count = seed_arrays(f"t:{sf.name}", 2)
+            t_seed, has, c_bucket, c_count = seed_fields(key, "bucket", "count")
             cont = has & (c_bucket == bucket[starts])  # carried bucket continues
             carry = _opening_carry(new_seg, starts, gidx, np.where(cont, c_count, 0))
             if isinstance(sf, TumblingDistinct):
-                cnt = _tumbling_distinct(
+                cnt, out[key] = _tumbling_distinct(
                     tbl[f"__sf_{sf.name}"], sf, bucket, new_seg, starts, ends, gidx,
-                    cont, carry, carry_in, carry_out if persist else None,
+                    cont, carry, t_seed, typ,
                 )
             else:
                 if isinstance(sf, TumblingCount):
@@ -432,11 +434,11 @@ def scan_windows(
                     run = _running_segment_max if isinstance(sf, TumblingMax) else _running_segment_count
                 cnt = run(vals, new_seg, carry)
                 if persist:
-                    carry_out.append((f"t:{sf.name}", list(zip(bucket[ends - 1], cnt[ends - 1].tolist()))))
+                    out[key] = _struct(typ, [bucket[ends - 1], cnt[ends - 1]])
             sf_vals[sf.name] = cnt
         elif isinstance(sf, SessionWindow):
             g_us = np.int64(sf.gap_seconds * 1e6)
-            _, has, last_ts, sid0, cnt0 = seed_arrays(f"s:{sf.name}", 3)
+            _, has, last_ts, sid0, cnt0 = seed_fields(f"s:{sf.name}", "last_ts", "sid", "count")
             prev = np.empty(n, dtype=np.int64)
             prev[1:] = ts[:-1]
             prev[starts] = np.where(has, last_ts, ts[starts])
@@ -452,9 +454,9 @@ def scan_windows(
             sf_vals[f"{sf.name}__id"] = sid
             sf_vals[f"{sf.name}__count"] = cnt
             if persist:
-                carry_out.append((f"s:{sf.name}", list(zip(
-                    ts[ends - 1].tolist(), sid[ends - 1].tolist(), cnt[ends - 1].tolist()
-                ))))
+                out[f"s:{sf.name}"] = _struct(
+                    schema.field(f"s:{sf.name}").type, [ts[ends - 1], sid[ends - 1], cnt[ends - 1]]
+                )
         elif isinstance(sf, KvCache):
             # per row: the conversation's last set strictly before it (in
             # this batch's value column), else the carried value; TTL-bound
@@ -474,46 +476,51 @@ def scan_windows(
             vals = pc.if_else(
                 pa.array(valid), vcol.take(pa.array(np.where(valid, src, 0))), pa.nulls(n, vcol.type)
             )
-            kv, has, c_ts = seed_arrays(f"k:{sf.name}", 1)
+            kv, has, c_ts = seed_fields(f"k:{sf.name}", "ts")
             if has.any():
                 cmask = has[gidx] & ~own
                 if ttl_us is not None:
                     cmask &= (c_ts[gidx] + ttl_us) > ts
-                slot = np.cumsum(has) - 1  # group → position among carried
-                carried_vals = pa.array([v[1] for v in kv if v is not None], vcol.type)
-                vals = pc.if_else(
-                    pa.array(cmask), carried_vals.take(pa.array(np.where(cmask, slot[gidx], 0))), vals
-                )
+                carried = pc.struct_field(kv, "value").take(pa.array(gidx))
+                vals = pc.if_else(pa.array(cmask), carried, vals)
             kv_arrays[sf.name] = vals
             if persist:
                 j = set_pos[np.maximum(np.searchsorted(set_pos, ends) - 1, 0)] if len(set_pos) else ends
                 wrote = (j >= starts) & (j < ends)
-                set_vals = vcol.take(pa.array(np.where(wrote, j, 0))).to_pylist()
-                carry_out.append((f"k:{sf.name}", [
-                    (int(ts[jj]), v) if w else None
-                    for jj, v, w in zip(j.tolist(), set_vals, wrote.tolist())
-                ]))
+                jj = np.where(wrote, j, 0)
+                k_out = _struct(
+                    schema.field(f"k:{sf.name}").type, [ts[jj], vcol.take(pa.array(jj))], wrote
+                )
+                out[f"k:{sf.name}"] = k_out if kv is None else pc.if_else(pa.array(wrote), k_out, kv)
         # HasLabel handled by the label pass
-    if persist:
-        carry_out.append(("last_turn", turn[ends - 1].tolist()))
-    return sf_vals, kv_arrays, carry_out
+    if not persist:
+        return sf_vals, kv_arrays, None
+    out["conv_id"] = pc.cast(tbl["conv_id"].take(pa.array(starts)), pa.string()).combine_chunks()
+    out["last_turn"] = pa.array(turn[ends - 1].astype(np.int64))
+    last_seen = np.maximum.reduceat(ts, starts)
+    if seeds is not None:
+        last_seen = np.maximum(last_seen, pc.fill_null(seed("last_seen"), NEG_INF).to_numpy())
+    out["last_seen"] = pa.array(last_seen)
+    return sf_vals, kv_arrays, pa.Table.from_arrays([out[f.name] for f in schema], schema=schema)
 
 
 def eval_released(
     tbl: pa.Table,
     spec: RuleSpec,
     rule_plans: list[RulePlan],
-    states: dict,
+    states: Carry | dict | None,
     label_store: LabelStore,
     label_events: dict[str, list] | None = None,
     persist: bool = True,
 ) -> tuple[pa.Table, list[tuple]]:
     """Evaluate ordered, deduped rows; mutates ``states``/``label_store``.
 
-    Window math reads each conversation's carry from ``states`` (empty for a
-    fresh batch run) and runs as whole-array scans.  ``persist`` writes the
-    advanced carry back into ``states``: streaming shards keep it (the
-    default), batch callers discard it (``persist=False``).
+    Window math seeds each conversation from its row of the carry
+    ``states`` (a ``Carry``; ``{}`` or None: no carry, as in a fresh batch
+    run) and runs as whole-array scans.  ``persist`` writes the advanced
+    carry back into a ``Carry``: streaming shards keep it (the default),
+    batch callers pass no carry and ``persist=False``, which builds neither
+    a gather nor a carry-out.
 
     Returns (execution-results table, applied label mutations
     [(conv_id, ts_us, label, status)]).
@@ -532,8 +539,9 @@ def eval_released(
     change[1:] = codes[1:] != codes[:-1]
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
-    group_cids = _group_cids(dictionary, codes, starts)
-    carried = _carried(states, group_cids) if states else None
+    run_cids = dictionary.take(pa.array(codes[starts]))
+    carry = states if isinstance(states, Carry) else None
+    seeds = carry.gather(run_cids, carry_schema(spec, tbl.schema)) if carry else None
 
     sf_vals: dict[str, np.ndarray] = {}
     for sf in hl_feats:
@@ -541,14 +549,11 @@ def eval_released(
         sf_vals[sf.name] = np.full(n, default, dtype=bool)
 
     # ---- window features: whole-array scans seeded from the carry --------
-    win_vals, kv_arrays, carry_out = scan_windows(tbl, spec, change, carried, persist)
+    persist = persist and carry is not None
+    win_vals, kv_arrays, carry_out = scan_windows(tbl, spec, change, seeds, persist)
     sf_vals.update(win_vals)
     if persist:
-        for gi, cid in enumerate(group_cids):
-            st = states.setdefault(cid, {})
-            for key, vals in carry_out:
-                if vals[gi] is not None:
-                    st[key] = vals[gi]
+        carry.update(carry_out)
 
     # ---- non-label rule values, then the label pass ----------------------
     aug, rule_vals = _rule_values(tbl, sf_vals, kv_arrays, rule_plans)
@@ -577,18 +582,18 @@ def eval_released(
             for rn in trg.rules_any:
                 trig_pre |= rule_vals[rn]
         INF = 1 << 62
+        group_cids = run_cids.to_pylist()
 
         for gi, (s, e) in enumerate(zip(starts, ends)):
             cid = group_cids[gi]
             evs = label_events.get(cid)
-            st = states.setdefault(cid, {})
-            ei = st.get("lev", 0)
+            ei = label_store.lev.get(cid, 0)
             has_events = evs is not None and ei < len(evs)
             has_state = cid in label_store.data
             # pending delayed self-mutations (delay_action_by) behave like
-            # external label events scheduled at ts_eff; they live in the
-            # per-conversation state so streaming checkpoints carry them
-            dl = st.get("delayed")
+            # external label events scheduled at ts_eff; the label store
+            # keeps them per conversation so streaming checkpoints carry them
+            dl = label_store.delayed.get(cid)
             cand = np.flatnonzero(trig_pre[s:e])
             if not has_events and not has_state and len(cand) == 0 and not dl:
                 continue
@@ -623,7 +628,7 @@ def eval_released(
                         ev_pos = INF  # belongs to a future epoch's rows
                 else:
                     ev_pos = INF
-                dl = st.get("delayed")
+                dl = label_store.delayed.get(cid)
                 if dl:
                     dl_pos = int(np.searchsorted(t_slice, dl[0][0], side="left"))
                     if dl_pos >= m:
@@ -719,12 +724,12 @@ def eval_released(
                         delay = ef.delay_action_by
                         if delay is not None and delay > 0:
                             # takes effect at ts_eff, like an external label
-                            # event — queued in per-conversation state (so
+                            # event — queued in the label store (so
                             # checkpoints carry it), applied when the walk
                             # reaches the first turn at/after ts_eff
-                            dlq = st.setdefault("delayed", [])
-                            seq = st.get("dseq", 0)
-                            st["dseq"] = seq + 1
+                            dlq = label_store.delayed.setdefault(cid, [])
+                            seq = label_store.dseq.get(cid, 0)
+                            label_store.dseq[cid] = seq + 1
                             heapq.heappush(
                                 dlq,
                                 (t_i + int(delay * 1e6), seq, ef.label, status, exp, reason),
@@ -751,7 +756,7 @@ def eval_released(
                         )
                     if i_loc + 1 < m:
                         changes.append((i_loc + 1, hl_tuple(int(t_slice[i_loc + 1]))))
-            st["lev"] = ei
+            label_store.lev[cid] = ei
 
             # reconstruct HasLabel columns from the change log (fill between
             # consecutive change positions; rows before the first change keep
@@ -784,12 +789,12 @@ def eval_released(
     return _assemble(tbl, spec, sf_vals, kv_arrays, rule_vals), mutations
 
 
-def eval_runs(tbl: pa.Table, spec: RuleSpec, rule_plans, change, carried: list) -> pa.Table:
+def eval_runs(tbl: pa.Table, spec: RuleSpec, rule_plans, change, seeds: pa.Table | None) -> pa.Table:
     """Evaluate ordered rows of a label-free spec split into runs
     (``change`` marks run starts, as in :func:`scan_windows`), run g from
-    ``carried[g]``, writing no carry back: salting's seeded eval of every
-    held ``(conv, turn block)`` run in one call."""
-    sf_vals, kv_arrays, _ = scan_windows(tbl, spec, change, carried, persist=False)
+    row g of the seed table ``seeds``, writing no carry back: salting's
+    seeded eval of every held ``(conv, turn block)`` run in one call."""
+    sf_vals, kv_arrays, _ = scan_windows(tbl, spec, change, seeds, persist=False)
     _, rule_vals = _rule_values(tbl, sf_vals, kv_arrays, rule_plans)
     return _assemble(tbl, spec, sf_vals, kv_arrays, rule_vals)
 
@@ -905,13 +910,11 @@ class StatefulPartitionEval:
         self.__name__ = "StatefulPartitionEval"  # map_groups wants a named fn
 
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        states: dict = {}
-        store = LabelStore()
-        tbl = sort_and_dedup(tbl, states)
+        tbl = sort_and_dedup(tbl, None)
         if "__part" in tbl.column_names:
             tbl = tbl.drop_columns(["__part"])
         out, _ = eval_released(
-            tbl, self.spec, self.rule_plans, states, store, self.label_events,
+            tbl, self.spec, self.rule_plans, None, LabelStore(), self.label_events,
             persist=False,
         )
         return out

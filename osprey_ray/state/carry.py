@@ -1,31 +1,35 @@
-"""Columnar checkpoint codec for the carried per-conversation state.
+"""The carried window state: one Arrow table, one row per conversation.
 
-A streaming checkpoint holds three kinds of state: the carry ``states``
-(``conv_id -> {state key -> value}``, see the ``stages.stateful`` module
-docstring), the buffered pending row tables, and a handful of small
-bookkeeping members.  The first two are the bulk of the bytes, so they are
-written as Arrow IPC — :func:`encode_carry` turns the carry into one table
-with one row per conversation — and the small members ride in a pickled
-envelope around them (:func:`write_checkpoint` / :func:`read_checkpoint`).
-
-Carry table columns (a null cell means the key is absent for that
-conversation):
+Everything the window scans carry from one slice of a conversation's rows
+to the next lives in one table, and the same table is what a shard holds,
+what the driver holds for hot conversations, what salting's block summaries
+are rows of, and what a checkpoint stores (as Arrow IPC, :func:`to_ipc`) —
+there is no other in-memory shape and no encode step.  Its schema is a
+function of the spec and the stage-1 schema (:func:`carry_schema`); a null
+cell means the conversation carries nothing for that key:
 
 - ``conv_id`` — string, unique;
-- ``w:<f>``, ``q:<f>`` — ``list<int64>`` event buffers → int64 ndarrays;
-- ``t:<f>`` — ``struct<bucket, count>`` (int64) for TumblingCount, Sum and
-  Max, plus ``seen: list<value>`` for TumblingDistinct, where a null seen
-  is the saturated state (``None``) and a non-null one a ``frozenset``;
-  the count decodes to ``int``, the bucket to ``np.int64`` (``int`` for
-  TumblingDistinct), as ``eval_released`` writes them;
-- ``s:<f>`` — ``struct<last_ts, sid, count>`` (int64);
-- ``k:<f>`` — ``struct<ts: int64, value>``; the value type is the KvCache
-  column's own, inferred from the values;
-- ``last_turn``, ``lev``, ``dseq`` — int64;
-- ``delayed`` — ``list<struct<ts_eff, seq, label, status, exp, reason>>``
-  in heap order (``exp`` nullable).
+- ``w:<f>`` — ``list<int64>``: sorted ts of an IncrementWindow's counted
+  events still inside its window (the Redis-ZSET analogue,
+  example_plugins/src/udfs/cache.py:161-207);
+- ``q:<f>`` — ``list<int64>``: sorted turn_idx of a SequenceMatch's
+  first-step matches still inside ``within_turns``;
+- ``t:<f>`` — ``struct<bucket, count>`` (int64): the current tumbling
+  bucket and its running count / sum / max; TumblingDistinct adds ``seen:
+  list<value>`` (the ``__sf_<f>`` column's type), the bucket's sorted
+  distinct values, null once the cap saturates;
+- ``s:<f>`` — ``struct<last_ts, sid, count>`` (int64) of a SessionWindow;
+- ``k:<f>`` — ``struct<ts: int64, value>``: the last KvCache set, its value
+  typed as the ``__sfv_<f>`` column;
+- ``last_turn`` — int64, the highest processed turn_idx (the cross-epoch
+  dedup guard);
+- ``last_seen`` — int64, the newest event ts (the idle-state TTL clock).
 
-Any other key is an error: the codec has no per-value pickle fallback.
+:class:`Carry` holds the table between calls and has the two operations
+the engine needs, both vectorized: :meth:`Carry.gather` (seeds for a
+slice's runs) and :meth:`Carry.update` (replace the touched rows).  A
+checkpoint is a pickled envelope (:func:`write_checkpoint`) around the
+carry's and the pending tables' IPC bytes and a few small members.
 """
 
 from __future__ import annotations
@@ -33,144 +37,99 @@ from __future__ import annotations
 import os
 import pickle
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from osprey_ray.rules import (
+    IncrementWindow,
+    KvCache,
+    SequenceMatch,
+    SessionWindow,
+    TumblingCount,
+    TumblingDistinct,
+    TumblingMax,
+    TumblingSum,
+)
 
 # written into every checkpoint envelope; a file without it (or with a
 # different one) was written by another engine version and is rejected
-CHECKPOINT_FORMAT = "osprey-arrow-carry/2"
+CHECKPOINT_FORMAT = "osprey-arrow-carry/3"
 
-_INT_KEYS = ("last_turn", "lev", "dseq")
-_DELAYED_FIELDS = ("ts_eff", "seq", "label", "status", "exp", "reason")
-_DELAYED = pa.struct(list(zip(
-    _DELAYED_FIELDS,
-    (pa.int64(), pa.int64(), pa.string(), pa.string(), pa.int64(), pa.string()),
-)))
+_I64 = pa.int64()
+_BUFFER = pa.list_(_I64)
 
 
-def _ints(xs: list, absent: np.ndarray) -> pa.Array:
-    return pa.array(np.array(xs, dtype=np.int64), mask=absent)
+def _ints(*names: str) -> list[pa.Field]:
+    return [pa.field(n, _I64) for n in names]
 
 
-def _buffers(vals: list, absent: np.ndarray) -> pa.Array:
-    """Per-conversation int64 buffers (None = absent) → ``list<int64>``."""
-    lens = [0 if v is None else len(v) for v in vals]
-    offsets = np.zeros(len(vals) + 1, dtype=np.int32)
-    np.cumsum(lens, out=offsets[1:])
-    present = [v for v in vals if v is not None and len(v)]
-    flat = np.concatenate(present).astype(np.int64) if present else np.empty(0, np.int64)
-    return pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat), mask=pa.array(absent))
+def carry_schema(spec, schema: pa.Schema) -> pa.Schema:
+    """The carry table's schema for ``spec`` over stage-1 rows of
+    ``schema`` (which types the KvCache values and distinct seen-sets)."""
+    fields = [pa.field("conv_id", pa.string())]
+    for sf in spec.stateful:
+        if isinstance(sf, IncrementWindow):
+            fields.append(pa.field(f"w:{sf.name}", _BUFFER))
+        elif isinstance(sf, SequenceMatch):
+            fields.append(pa.field(f"q:{sf.name}", _BUFFER))
+        elif isinstance(sf, (TumblingCount, TumblingSum, TumblingMax, TumblingDistinct)):
+            sub = _ints("bucket", "count")
+            if isinstance(sf, TumblingDistinct):
+                sub.append(pa.field("seen", pa.list_(schema.field(f"__sf_{sf.name}").type)))
+            fields.append(pa.field(f"t:{sf.name}", pa.struct(sub)))
+        elif isinstance(sf, SessionWindow):
+            fields.append(pa.field(f"s:{sf.name}", pa.struct(_ints("last_ts", "sid", "count"))))
+        elif isinstance(sf, KvCache):
+            value = pa.field("value", schema.field(f"__sfv_{sf.name}").type)
+            fields.append(pa.field(f"k:{sf.name}", pa.struct([pa.field("ts", _I64), value])))
+    return pa.schema(fields + _ints("last_turn", "last_seen"))
 
 
-def _struct(fields: list[tuple[str, pa.Array]], absent: np.ndarray) -> pa.Array:
-    return pa.StructArray.from_arrays(
-        [a for _, a in fields], names=[n for n, _ in fields], mask=pa.array(absent)
-    )
+class Carry:
+    """The mutable holder of one carry table (a table with no columns until
+    the first update): a shard's, the driver's for hot conversations, or a
+    caller's across ``stages.stateful.eval_released`` calls."""
 
+    __slots__ = ("table",)
 
-def _tumbling(key: str, vals: list, absent: np.ndarray) -> pa.Array:
-    widths = {len(v) for v in vals if v is not None}
-    if len(widths) != 1:
-        raise ValueError(f"carry key {key!r} mixes state shapes {sorted(widths)}")
-    fields = [
-        ("bucket", _ints([0 if v is None else v[0] for v in vals], absent)),
-        ("count", _ints([0 if v is None else v[1] for v in vals], absent)),
-    ]
-    if widths == {3}:  # TumblingDistinct: + seen-set, None once saturated
-        seen = [None if v is None or v[2] is None else sorted(v[2]) for v in vals]
-        flat = [x for s in seen if s for x in s]
-        vtype = pa.array(flat).type if flat else pa.string()
-        fields.append(("seen", pa.array(seen, pa.list_(vtype))))
-    return _struct(fields, absent)
+    def __init__(self, table: pa.Table | None = None) -> None:
+        self.table = pa.table({}) if table is None else table
 
+    def __len__(self) -> int:
+        return self.table.num_rows
 
-def _column(key: str, vals: list) -> pa.Array:
-    absent = np.array([v is None for v in vals], dtype=bool)
-    kind = key[:2]
-    if kind in ("w:", "q:"):
-        return _buffers(vals, absent)
-    if kind == "t:":
-        return _tumbling(key, vals, absent)
-    if kind == "s:":
-        return _struct(
-            [(name, _ints([0 if v is None else v[i] for v in vals], absent))
-             for i, name in enumerate(("last_ts", "sid", "count"))],
-            absent,
-        )
-    if kind == "k:":
-        return _struct(
-            [("ts", _ints([0 if v is None else v[0] for v in vals], absent)),
-             ("value", pa.array([None if v is None else v[1] for v in vals]))],
-            absent,
-        )
-    if key in _INT_KEYS:
-        return _ints([0 if v is None else v for v in vals], absent)
-    if key == "delayed":
-        return pa.array(
-            [None if v is None else [dict(zip(_DELAYED_FIELDS, e)) for e in v] for v in vals],
-            pa.list_(_DELAYED),
-        )
-    raise ValueError(f"carry state key {key!r} has no columnar encoding")
+    def gather(self, cids, schema: pa.Schema | None = None, columns=None) -> pa.Table | None:
+        """Seeds for runs of the conversations ``cids`` (string array): the
+        carry's rows in ``cids`` order, a null row where a conversation
+        carries nothing; None when nothing is carried.  ``schema`` first
+        conforms the table to the scan's schema; ``columns`` gathers only
+        those."""
+        if not len(self):
+            return None
+        if schema is not None:
+            self._conform(schema)
+        idx = pc.index_in(pc.cast(cids, pa.string()), self.table["conv_id"])
+        tbl = self.table if columns is None else self.table.select(columns)
+        return tbl.take(idx)
 
+    def update(self, rows: pa.Table) -> None:
+        """Replace the rows of the conversations in ``rows`` (one row each,
+        the state after a scan) and add the new ones; the table stays one
+        chunk."""
+        self._conform(rows.schema)
+        touched = pc.is_in(self.table["conv_id"], rows["conv_id"])
+        self.table = pa.concat_tables([self.table.filter(pc.invert(touched)), rows]).combine_chunks()
 
-def encode_carry(states: dict) -> pa.Table:
-    """The carry ``states`` as one table, one row per conversation."""
-    cids = list(states)
-    sts = [states[c] for c in cids]
-    keys = sorted({k for st in sts for k in st})
-    cols = {"conv_id": pa.array(cids, pa.string())}
-    for key in keys:
-        cols[key] = _column(key, [st.get(key) for st in sts])
-    return pa.table(cols)
-
-
-def _decode_column(key: str, arr: pa.Array) -> list:
-    """Per-row decoded values of one carry column (None = absent)."""
-    kind = key[:2]
-    if kind in ("w:", "q:"):
-        offsets = arr.offsets.to_numpy()
-        flat = arr.values.to_numpy(zero_copy_only=False)
-        return [
-            flat[offsets[i] : offsets[i + 1]].copy() if ok else None
-            for i, ok in enumerate(arr.is_valid().to_pylist())
-        ]
-    rows = arr.to_pylist()
-    if kind == "t:":
-        out = []
-        for r in rows:
-            if r is None:
-                out.append(None)
-            elif "seen" in r:
-                seen = r["seen"]
-                out.append((r["bucket"], r["count"],
-                            None if seen is None else frozenset(seen)))
-            else:
-                out.append((np.int64(r["bucket"]), r["count"]))
-        return out
-    if kind == "s:":
-        return [None if r is None else (r["last_ts"], r["sid"], r["count"]) for r in rows]
-    if kind == "k:":
-        return [None if r is None else (r["ts"], r["value"]) for r in rows]
-    if key in _INT_KEYS:
-        return rows
-    if key == "delayed":
-        return [None if r is None else [tuple(e.values()) for e in r] for r in rows]
-    raise ValueError(f"carry column {key!r} has no columnar decoding")
-
-
-def decode_carry(tbl: pa.Table) -> dict:
-    """Inverse of :func:`encode_carry`: ``conv_id -> state dict``, value
-    types included."""
-    cids = tbl.column("conv_id").to_pylist()
-    states: dict = {c: {} for c in cids}
-    for key in tbl.column_names:
-        if key == "conv_id":
-            continue
-        vals = _decode_column(key, tbl.column(key).combine_chunks())
-        for c, v in zip(cids, vals):
-            if v is not None:
-                states[c][key] = v
-    return states
+    def _conform(self, schema: pa.Schema) -> None:
+        """Give the table ``schema`` (a spec swap changed it): a new key
+        starts null, a dropped one goes, a retyped one is cast."""
+        old = self.table
+        if not old.schema.equals(schema):
+            self.table = pa.table([
+                old[f.name].cast(f.type) if f.name in old.column_names
+                else pa.nulls(old.num_rows, f.type)
+                for f in schema
+            ], schema=schema).combine_chunks()
 
 
 def to_ipc(tbl: pa.Table) -> bytes:

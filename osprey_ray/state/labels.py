@@ -17,8 +17,10 @@ and stdlib/udfs/labels.py:176-224 HasLabel expiry logic):
 - everything is event-time: ``now`` is the current turn's ``ts``, never wall
   clock, so replays are bit-stable.
 
-State is keyed ``entity_key -> {label -> _LabelState}``; serialization is a
-plain list-of-tuples snapshot (used by the streaming checkpoints).
+State is keyed ``entity_key -> {label -> _LabelState}``, next to the
+label walk's per-conversation position: consumed label events (``lev``),
+queued delayed self-mutations (``delayed``, a heap) and their counter
+(``dseq``).  Snapshots (streaming checkpoints) are plain lists and dicts.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ class LabelStore:
 
     def __init__(self) -> None:
         self.data: dict[str, dict[str, _LabelState]] = {}
+        self.lev: dict[str, int] = {}
+        self.delayed: dict[str, list[tuple]] = {}
+        self.dseq: dict[str, int] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -102,16 +107,34 @@ class LabelStore:
 
     # -- snapshot (streaming checkpoints) ----------------------------------
 
-    def snapshot(self) -> list[Any]:
-        return [
-            (e, lbl, st.status, st.reasons)
-            for e, labels in self.data.items()
-            for lbl, st in labels.items()
-        ]
+    def snapshot(self) -> dict[str, Any]:
+        return {
+            "labels": [
+                (e, lbl, st.status, st.reasons)
+                for e, labels in self.data.items()
+                for lbl, st in labels.items()
+            ],
+            "lev": dict(self.lev),
+            "delayed": {c: list(q) for c, q in self.delayed.items()},
+            "dseq": dict(self.dseq),
+        }
 
     @classmethod
-    def restore(cls, snap: list[Any]) -> "LabelStore":
+    def restore(cls, *snaps: dict, num_parts: int | None = None, part: int = 0) -> "LabelStore":
+        """The store one snapshot describes — or, given ``num_parts``, the
+        entities of every snapshot that route to ``part`` of ``num_parts``
+        (``stages.stateful.route_keys``): a rescale's re-deal."""
         store = cls()
-        for e, lbl, status, reasons in snap:
-            store.data.setdefault(e, {})[lbl] = _LabelState(status, [tuple(r) for r in reasons])
+        for snap in snaps:
+            keep = {e for e, *_ in snap["labels"]}.union(snap["lev"], snap["delayed"], snap["dseq"])
+            if num_parts is not None:
+                from osprey_ray.stages.stateful import route_keys
+
+                ents = list(keep)
+                keep = {e for e, p in zip(ents, route_keys(ents, num_parts)) if p == part}
+            for e, lbl, status, reasons in snap["labels"]:
+                if e in keep:
+                    store.data.setdefault(e, {})[lbl] = _LabelState(status, list(map(tuple, reasons)))
+            for name in ("lev", "delayed", "dseq"):
+                getattr(store, name).update((e, v) for e, v in snap[name].items() if e in keep)
         return store

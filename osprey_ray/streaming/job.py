@@ -16,7 +16,7 @@ The streaming analogue of the reference's Kafka → coordinator → worker loop
   and read while e is processed;
 - hot conversations (``hot_convs``) route by the sub-key
   ``conv_id#(turn_idx // hot_block_turns)``; shards carve and hold their
-  blocks, and the driver scans the block summaries from its carry state
+  blocks, and the driver scans the block summaries from its carry table
   and seeds their evaluation (the salting protocol, stages/salted.py);
 - the event-time watermark advances as ``max(seen ts) - allowed_lateness``
   (or the source's own per-partition basis), monotonically; shards release
@@ -56,8 +56,7 @@ from osprey_ray.stages.salted import HOT_BLOCK_TURNS, check_hot_routing, scan_se
 from osprey_ray.stages.stateful import route_keys
 from osprey_ray.stages.stateless import StatelessStage, compile_stateless
 from osprey_ray.state.carry import (
-    decode_carry, encode_carry, from_ipc, ipc_schema, read_checkpoint, to_ipc,
-    write_checkpoint,
+    Carry, from_ipc, ipc_schema, read_checkpoint, to_ipc, write_checkpoint,
 )
 from osprey_ray.streaming.shard import (
     StateShard, emit_closed_windows, merge_window_partial, window_families,
@@ -307,7 +306,7 @@ class StreamingJob:
         if self.hot_convs:
             check_hot_routing(spec)
         self.hot_block_turns = hot_block_turns
-        self.hot_states: dict = {}          # conv_id -> carry state
+        self.hot_states = Carry()           # hot conversations' carry table
         self.hot_open_windows: dict = {}    # same keying as shard open_windows
         self.lateness_us = int(allowed_lateness_s * 1e6)
         self.checkpoint_interval = checkpoint_interval
@@ -328,6 +327,7 @@ class StreamingJob:
         self.shards: list | None = None
         self.metrics: list[dict] = []
         self._snap_epoch = -1  # last committed epoch that took a snapshot
+        self._newest_ts = I64_MIN  # newest event ts read so far (µs)
         self._run_active = False  # guards gc_checkpoints (ADVICE r4)
 
     # -- epoch planning ----------------------------------------------------
@@ -448,10 +448,11 @@ class StreamingJob:
         # process e+1) is preserved while fast shards run ahead of slow
         # ones.  Manifests still commit, and acks follow, strictly in epoch
         # order (the exactly-once gate is unchanged).
-        in_flight: list[tuple] = []  # (e, batch, state, watermark, stats_refs, snap_refs, recovery, hash, spec, t0)
+        in_flight: list[tuple] = []  # (e, batch, state, watermark, max-ts refs, stats_refs, snap_refs, recovery, hash, spec, t0)
 
         def _drain_one() -> None:
-            e_, eb_, state_, wm_, stats_refs, snap_refs, recovery_, rhash_, spec_, t0_ = in_flight.pop(0)
+            e_, eb_, state_, wm_, ts_refs, stats_refs, snap_refs, recovery_, rhash_, spec_, t0_ = in_flight.pop(0)
+            self._newest_ts = max([self._newest_ts, *ray.get(ts_refs)])
             stats = ray.get(stats_refs)
             hot = self._hot_phase(e_, stats, wm_, spec_, write=not recovery_)
             snapshots = ray.get(snap_refs) if snap_refs is not None else None
@@ -509,7 +510,8 @@ class StreamingJob:
                 if do_snap and not recovery
                 else None
             )
-            in_flight.append((e, eb, state, watermark, stats_refs, snap_refs, recovery, self._cur_hash, self.spec, t0))
+            ts_refs = [r[self.P] for r in read_refs]
+            in_flight.append((e, eb, state, watermark, ts_refs, stats_refs, snap_refs, recovery, self._cur_hash, self.spec, t0))
             while len(in_flight) > 1:  # one epoch of lookahead
                 _drain_one()
             e += 1
@@ -532,6 +534,7 @@ class StreamingJob:
         watermark = I64_MIN
         recover_until = -1
         self._snap_epoch = -1
+        self._newest_ts = I64_MIN
         if resume:
             last = self.last_committed_epoch()
             if last >= 0:
@@ -575,13 +578,17 @@ class StreamingJob:
                             ]
                         )
                     watermark = int(snap_manifest["watermark"])
+                    # replay re-reads only the epochs after the snapshot
+                    lag = snap_manifest.get("watermark_lag_s")
+                    if lag is not None:
+                        self._newest_ts = watermark + round(lag * 1e6)
                     hs = snap_manifest.get("hot_state")
                     if hs:
                         payload = read_checkpoint(hs)
-                        self.hot_states = decode_carry(from_ipc(payload["carry"]))
+                        self.hot_states = Carry(from_ipc(payload["carry"]))
                         self.hot_open_windows = payload["hot_open_windows"]
                     elif self.hot_convs:
-                        self.hot_states, self.hot_open_windows = {}, {}
+                        self.hot_states, self.hot_open_windows = Carry(), {}
                 recover_until = last
                 start_epoch = snap_epoch + 1
                 # shards were constructed with the base spec; re-apply the
@@ -631,18 +638,18 @@ class StreamingJob:
     def _hot_phase(self, e, stats, watermark, spec, write: bool) -> dict | None:
         """Per-epoch driver side of the routed hot-conversation exchange:
         gather every shard's block boundary summaries, scan them from the
-        driver-held carry state (stages/salted.py ``scan_seeds``), seed the
-        shards' held-block evaluation, fold the returned window partials
-        into the driver's hot open-window accumulators, and emit the hot
-        windows the watermark closed.  Work here is O(hot convs × blocks)
-        dicts — never rows."""
+        driver-held carry table (stages/salted.py ``scan_seeds``), seed the
+        shards' held-block evaluation with the seed table, fold the returned
+        window partials into the driver's hot open-window accumulators, and
+        emit the hot windows the watermark closed.  Work here is O(hot
+        convs × blocks) — never rows."""
         if not self.hot_convs:
             return None
         out = {"files": [], "released": 0, "fired": 0, "windows_file": None}
-        summaries = [t for s in stats for t in s.get("hot_summaries", [])]
-        if summaries:
-            seeds = scan_seeds(summaries, self.hot_states, spec)
-            holders = [i for i, s in enumerate(stats) if s.get("hot_summaries")]
+        holders = [i for i, s in enumerate(stats) if s.get("hot_summaries") is not None]
+        if holders:
+            summaries = pa.concat_tables([stats[i]["hot_summaries"] for i in holders])
+            seeds = ray.put(scan_seeds(summaries, self.hot_states, spec))
             hres = ray.get(
                 [self.shards[i].eval_held_blocks.remote(e, seeds, write) for i in holders]
             )
@@ -662,14 +669,12 @@ class StreamingJob:
 
     def _commit(self, e, files, watermark, stats, snapshots, recovery, t0, ruleset_hash, hot, offsets, source_state) -> dict:
         released = sum(s["released"] for s in stats) + (hot["released"] if hot else 0)
-        # end-to-end watermark lag: newest event seen vs the frontier up to
-        # which results are final — bounded by allowed_lateness by
-        # construction; growth beyond it means the engine is falling behind
+        # event-time watermark lag: the newest event ts read through this
+        # epoch minus the frontier up to which results are final (null on
+        # the flush epoch, whose watermark is +inf)
         lag_s = None
-        if I64_MIN < watermark < np.iinfo(np.int64).max:
-            # = allowed lateness (event-time bound) + this epoch's processing
-            # wall time (how long finalization trailed the data)
-            lag_s = round(self.lateness_us / 1e6 + (time.perf_counter() - t0), 3)
+        if I64_MIN < watermark < np.iinfo(np.int64).max and self._newest_ts > I64_MIN:
+            lag_s = (self._newest_ts - watermark) / 1e6
         metrics = {
             "epoch": e,
             "input_files": files,
@@ -702,7 +707,7 @@ class StreamingJob:
                     self.ckpt_dir, f"hot-e{e:05d}.pkl"
                 )
                 write_checkpoint(hot_state_path, {
-                    "carry": to_ipc(encode_carry(self.hot_states)),
+                    "carry": to_ipc(self.hot_states.table),
                     "hot_open_windows": self.hot_open_windows,
                 })
             streams = {

@@ -16,7 +16,8 @@ Responsibilities:
 - receive each epoch's routed slices as top-level arguments of
   :meth:`StateShard.process`, so Ray fetches them before the call starts;
 - run :func:`osprey_ray.stages.stateful.eval_released` over each released
-  slice with carried per-conversation state + the shard's LabelStore;
+  slice with the shard's carry table (``state.carry.Carry``, one row per
+  conversation) + its LabelStore;
 - carve routed hot-conversation rows off the released slice and hold them
   as one table until the driver's scan seeds their one-call evaluation
   (:meth:`StateShard.eval_held_blocks`; protocol in stages/salted.py);
@@ -24,10 +25,9 @@ Responsibilities:
   ``io.write_parquet_atomic`` (idempotent: deterministic bytes, safe to
   re-run);
 - snapshot/restore its full state for checkpoints, columnar: the carry
-  ``states`` as one Arrow table with a row per conversation and each
-  pending table as Arrow IPC (codec in :mod:`osprey_ray.state.carry`), so
-  a snapshot never walks rows in Python and a rescale re-deals the carry
-  with one crc32 mask over its conv_ids.
+  table and each pending table as Arrow IPC (:mod:`osprey_ray.state.carry`)
+  — the live table itself, so a snapshot has no encode step — and a
+  rescale re-deals the carry with one crc32 mask over its conv_ids.
 
 Partitioning assumption (documented per SURVEY §2.9): within a
 conversation, event-time ``ts`` is non-decreasing in ``turn_idx`` (turn
@@ -54,9 +54,7 @@ from osprey_ray.rules import (
 from osprey_ray.stages.salted import HOT_BLOCK_TURNS, carve_hot_blocks, eval_seeded_blocks
 from osprey_ray.stages.stateful import _conv_codes, eval_released, route_keys, sort_and_dedup
 from osprey_ray.stages.stateless import split_rules
-from osprey_ray.state.carry import (
-    decode_carry, encode_carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint,
-)
+from osprey_ray.state.carry import Carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint
 from osprey_ray.state.labels import LabelStore
 from osprey_ray.streaming.patterns import spec_patterns, track
 
@@ -187,12 +185,9 @@ class StateShard:
         self.hot_convs = hot_convs or frozenset()
         self.hot_block_turns = hot_block_turns
         self._held_blocks: dict[int, pa.Table] = {}  # epoch -> held hot rows
-        self.states: dict = {}
-        # conv -> newest event ts (µs) for TTL eviction — kept OUT of the
-        # per-conversation state dicts so a user feature named
-        # '_last_seen_us' can never collide with engine bookkeeping
-        # (ADVICE r4); snapshots/restores ride alongside states
-        self.last_seen: dict = {}
+        # the carry table: one row per conversation, its last_seen column
+        # the clock of TTL eviction
+        self.states = Carry()
         self.labels = LabelStore()
         self.pending: list[pa.Table] = []
         # bounded buffer (VERDICT r1 item #10): a stalled watermark used to
@@ -316,7 +311,7 @@ class StateShard:
             self._spill_pending()
 
         out = labels_tbl = late_tbl = win_tbl = None
-        hot_summaries: list = []
+        hot_summaries = None
         if released is not None and released.num_rows:
             released = sort_and_dedup(released, self.states)
         else:
@@ -339,7 +334,7 @@ class StateShard:
                 released, self.spec, self.rule_plans, self.states, self.labels, self.label_events
             )
             if self.state_ttl_us is not None and released.num_rows:
-                self._touch_and_evict(released, watermark_us)
+                self._evict_idle(watermark_us)
             self._accumulate_windows(out)
             if muts:
                 # externalized label-mutation stream (the Label output sink,
@@ -398,10 +393,10 @@ class StateShard:
             "hot_summaries": hot_summaries,
         }
 
-    def eval_held_blocks(self, epoch: int, seeds: dict, write: bool = True) -> dict:
+    def eval_held_blocks(self, epoch: int, seeds: pa.Table, write: bool = True) -> dict:
         """Seeded eval of the routed hot-conversation exchange: evaluate the
         rows :meth:`process` held for ``epoch`` in one call, each block
-        seeded with the driver's scan-merged incoming carry state.  Returns the
+        seeded with its row of the driver's seed table.  Returns the
         output file plus compact window partials (the driver owns hot
         conversations' open-window accumulators — a hot window spans
         shards, so per-shard accumulation would emit partial duplicates)."""
@@ -532,33 +527,19 @@ class StateShard:
 
     # -- checkpointing -----------------------------------------------------
 
-    def _touch_and_evict(self, released: pa.Table, watermark_us: int) -> None:
-        """Record each conversation's newest event ts, then drop carry
-        state for conversations idle past the TTL horizon.  Safe because
-        the job validated the spec is time-bounded and ttl >= lateness:
-        any future row of an evicted conversation either arrives with
-        ts > watermark - lateness (all window/bucket/session state it
-        could observe has necessarily expired, and by the per-conv ts
-        monotonicity assumption its turn_idx exceeds the evicted
-        last_turn) or is dropped as late before touching state."""
-        codes, dictionary = _conv_codes(released)
-        names = dictionary.to_pylist()
-        ts = released["ts"].cast(pa.int64()).to_numpy()
-        change = np.empty(len(codes), dtype=bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(codes))
-        for s, e in zip(starts, ends):
-            cid = names[codes[s]]
-            if cid in self.states:
-                self.last_seen[cid] = max(
-                    int(ts[s:e].max()), self.last_seen.get(cid, I64_MIN)
-                )
-        horizon = watermark_us - self.state_ttl_us
-        for cid in [c for c, t in self.last_seen.items() if t <= horizon]:
-            self.states.pop(cid, None)
-            del self.last_seen[cid]
+    def _evict_idle(self, watermark_us: int) -> None:
+        """Drop the carry rows of conversations idle past the TTL horizon:
+        one mask over ``last_seen``.  Safe because the job validated the
+        spec is time-bounded and ttl >= lateness: any future row of an
+        evicted conversation either arrives with ts > watermark - lateness
+        (all window/bucket/session state it could observe has necessarily
+        expired, and by the per-conv ts monotonicity assumption its
+        turn_idx exceeds the evicted last_turn) or is dropped as late
+        before touching state."""
+        tbl = self.states.table
+        self.states.table = tbl.filter(
+            pc.greater(tbl["last_seen"], watermark_us - self.state_ttl_us)
+        )
 
     def state_size(self) -> int:
         """Carried-conversation count (observability / eviction tests)."""
@@ -566,19 +547,17 @@ class StateShard:
 
     def snapshot(self, ckpt_dir: str, epoch: int) -> dict:
         """Write this shard's full state as ``state-e{epoch}-p{part}.pkl``:
-        the carry ``states`` as one Arrow table (``state.carry`` codec) and
-        each pending table as Arrow IPC under its own schema, inside a
-        pickled envelope with the small members (labels, open windows,
-        armed pattern state, watermark, spill list).  Returns the path, the
-        spill files this snapshot no longer references, and the snapshot's
-        bytes and seconds."""
+        the carry table and each pending table as Arrow IPC under its own
+        schema, inside a pickled envelope with the small members (labels,
+        open windows, armed pattern state, watermark, spill list).  Returns
+        the path, the spill files this snapshot no longer references, and
+        the snapshot's bytes and seconds."""
         t0 = time.perf_counter()
         os.makedirs(ckpt_dir, exist_ok=True)
         path = os.path.join(ckpt_dir, f"state-e{epoch:05d}-p{self.part:04d}.pkl")
         size = write_checkpoint(path, {
-            "carry": to_ipc(encode_carry(self.states)),
+            "carry": to_ipc(self.states.table),
             "pending": [to_ipc(t) for t in self.pending],
-            "last_seen": self.last_seen,
             "labels": self.labels.snapshot(),
             "watermark": self.watermark,
             "open_windows": self.open_windows,
@@ -609,28 +588,25 @@ class StateShard:
         Every new shard reads EVERY old snapshot and keeps the
         conversations that route here under ``new_P``: one route mask over
         each carry table's conv_ids and over each pending table's unique
-        conv_ids.  Spilled pending rows are absorbed inline (they re-spill
-        past the threshold on the next process call).  The
-        watermark is the MIN across old shards — conservative: rows the
+        conv_ids, and the label store's own re-deal.  Spilled pending rows
+        are absorbed inline (they re-spill past the threshold on the next
+        process call).  The watermark is the MIN across old shards — conservative: rows the
         faster old shards already released are in their carried state, and
         the merged watermark only delays future releases until new data
         advances it."""
         def mine(key: str) -> bool:
             return route_keys([key], new_P)[0] == self.part
 
-        self.states, self.open_windows = {}, {}
-        self.last_seen = {}
+        self.states, self.open_windows = Carry(), {}
         self.armed = {}
-        lab_entries: list = []
+        lab_snaps: list = []
         pend: list[pa.Table] = []
         wm = None
         for path in paths:
             payload = read_checkpoint(path)
             carry = from_ipc(payload["carry"])
-            self.states.update(decode_carry(carry.filter(_owned(carry, new_P, self.part))))
-            self.last_seen.update(
-                {c: v for c, v in payload["last_seen"].items() if mine(c)}
-            )
+            if carry.num_rows:
+                self.states.update(carry.filter(_owned(carry, new_P, self.part)))
             # open_windows keys are (window_name, conv_id, ...) tuples
             self.open_windows.update(
                 {k: w for k, w in payload["open_windows"].items() if mine(k[1])}
@@ -638,7 +614,7 @@ class StateShard:
             # armed pattern state re-deals by conv like windows; keys are
             # (kind, pattern, conv_id) and unique across old shards
             self.armed.update({k: v for k, v in payload["armed"].items() if mine(k[2])})
-            lab_entries.extend(e for e in payload["labels"] if mine(e[0]))
+            lab_snaps.append(payload["labels"])
             tables = [from_ipc(b) for b in payload["pending"]]
             # old spill files are absorbed here and intentionally NOT
             # referenced by the new shard (the old manifests still name
@@ -651,7 +627,7 @@ class StateShard:
                     pend.append(kept)
             w = payload["watermark"]
             wm = w if wm is None else min(wm, w)
-        self.labels = LabelStore.restore(lab_entries)
+        self.labels = LabelStore.restore(*lab_snaps, num_parts=new_P, part=self.part)
         self.pending = pend
         self.watermark = wm if wm is not None else np.iinfo(np.int64).min
         self.spilled = []
@@ -686,9 +662,8 @@ class StateShard:
         snapshot in any other format fails with a ``ValueError`` naming
         it."""
         payload = read_checkpoint(path)
-        self.states = decode_carry(from_ipc(payload["carry"]))
+        self.states = Carry(from_ipc(payload["carry"]))
         self.pending = [from_ipc(b) for b in payload["pending"]]
-        self.last_seen = payload["last_seen"]
         self.labels = LabelStore.restore(payload["labels"])
         self.watermark = payload["watermark"]
         self.open_windows = payload["open_windows"]

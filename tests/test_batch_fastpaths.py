@@ -34,6 +34,7 @@ from osprey_ray.stages.stateful import (
     sort_and_dedup,
 )
 from osprey_ray.stages.stateless import compile_stateless
+from osprey_ray.state.carry import Carry
 
 LIST_STR = pa.list_(pa.string())
 
@@ -214,7 +215,11 @@ def test_sort_and_dedup_matches_lexsort_reference(case):
     if mode == "split":
         codes, _ = _conv_codes(tbl)
         assert not _in_order(codes, tbl["turn_idx"].to_numpy(), tbl["ts"].cast(pa.int64()).to_numpy())
-    got = sort_and_dedup(tbl, states)
+    carry = Carry(pa.table({
+        "conv_id": pa.array(list(states), pa.string()),
+        "last_turn": pa.array([st["last_turn"] for st in states.values()], pa.int64()),
+    })) if states else Carry()
+    got = sort_and_dedup(tbl, carry)
     want = _reference_sort_and_dedup(tbl, states)
     assert got.equals(want), (mode, rows, states)
 
@@ -368,8 +373,11 @@ def test_route_agreement(conv_type, P, tmp_path):
     new = [Shard(spec, p, str(tmp_path / "data"), {}) for p in range(P)]
     for sh in new:
         sh.restore_resharded(paths, P)
-    assert {c: p for p, sh in enumerate(new) for c in sh.states} == {
-        c: want(c) for sh in old for c in sh.states
+    def carried(sh) -> list:
+        return sh.states.table["conv_id"].to_pylist()
+
+    assert {c: p for p, sh in enumerate(new) for c in carried(sh)} == {
+        c: want(c) for sh in old for c in carried(sh)
     }
     assert {c: p for p, sh in enumerate(new) for c in placed(sh.pending)} == {
         c: want(c) for sh in old for t in sh.pending for c in t["conv_id"].to_pylist()

@@ -16,7 +16,8 @@ from osprey_ray.pipelines import flagship
 from osprey_ray.pipelines.flagship import label_events_map
 from osprey_ray.rules import LabelAdd, WhenRules
 from osprey_ray.stages.stateless import compile_stateless
-from osprey_ray.state.carry import CHECKPOINT_FORMAT, decode_carry, encode_carry
+from osprey_ray.io import TRANSCRIPT_SCHEMA
+from osprey_ray.state.carry import CHECKPOINT_FORMAT, ipc_schema, read_checkpoint
 from osprey_ray.streaming.shard import StateShard, _owned
 from test_golden import _assert_states_equal
 
@@ -34,8 +35,8 @@ def transcripts():
 def _spec(name: str):
     spec = getattr(flagship, name)()
     if name == "flagship_spec":
-        # delayed self-mutations queue in the carry (delayed, dseq), one
-        # with an expiry and one without
+        # delayed self-mutations queue in the label store (delayed, dseq),
+        # one with an expiry and one without
         spec.triggers.append(WhenRules(["RuleToolAbuse"], [
             LabelAdd("tool_abuse", delay_action_by=1800.0),
             LabelAdd("tool_abuse_1h", delay_action_by=900.0, expires_after=3600),
@@ -75,13 +76,18 @@ def _assert_restored(fresh, sh):
 
 @pytest.mark.parametrize("spec_name", ["flagship_spec", "kitchen_sink_spec", "flagship_sql_spec"])
 def test_snapshot_roundtrip_no_ray(transcripts, tmp_path, spec_name):
-    """Every epoch's snapshot restores into a fresh shard exactly — carry
-    values and types, pending tables with their schemas, watermark — and
-    the restored shard's next epoch equals the original's."""
+    """Every epoch's snapshot — and one taken before the first epoch, with
+    nothing carried — restores into a fresh shard exactly: the carry table
+    with its schema, pending tables with theirs, label state, watermark;
+    and the restored shard's next epoch equals the original's."""
     tbl, lmap = transcripts
     spec = _spec(spec_name)
     lev = lmap if spec_name == "flagship_spec" else {}
     sh = Shard(spec, 0, str(tmp_path / "data"), lev)
+    fresh = Shard(spec, 0, str(tmp_path / "data"), lev)
+    fresh.restore(sh.snapshot(str(tmp_path / "ckpt0"), 0)["path"])
+    assert not fresh.states.table.num_columns
+    _assert_restored(fresh, sh)
     keys: set = set()
     for e, (rows, wm) in enumerate(_epochs(tbl, spec)):
         sh.process(e, wm, rows, write=False)
@@ -90,21 +96,25 @@ def test_snapshot_roundtrip_no_ray(transcripts, tmp_path, spec_name):
         fresh = Shard(spec, 0, str(tmp_path / "data"), lev)
         fresh.restore(info["path"])
         _assert_restored(fresh, sh)
-        keys |= {k for st in sh.states.values() for k in st}
+        carry = sh.states.table
+        keys |= {c for c in carry.column_names if carry[c].null_count < carry.num_rows}
         assert sh.pending, "fixture released everything; nothing pending"
     want = {
-        "flagship_spec": {"w:", "t:", "s:", "q:", "last_turn", "lev", "delayed", "dseq"},
-        "kitchen_sink_spec": {"w:", "t:", "k:", "last_turn"},
-        "flagship_sql_spec": {"w:", "t:", "s:", "q:", "last_turn"},
-    }[spec_name]
+        "flagship_spec": {"w:", "t:", "s:", "q:"},
+        "kitchen_sink_spec": {"w:", "t:", "k:"},
+        "flagship_sql_spec": {"w:", "t:", "s:", "q:"},
+    }[spec_name] | {"conv_id", "last_turn", "last_seen"}
     assert {k[:2] if k[1] == ":" else k for k in keys} == want
     if spec_name == "flagship_spec":
-        exps = {e[4] is None for st in sh.states.values() for e in st.get("delayed", ())}
+        labels = sh.labels
+        assert labels.lev and labels.dseq
+        exps = {e[4] is None for q in labels.delayed.values() for e in q}
         assert exps == {True, False}, "delayed queue never held both expiry kinds"
     if spec_name == "kitchen_sink_spec":
-        capped = [st["t:ToolsCapped"] for st in sh.states.values() if "t:ToolsCapped" in st]
-        assert any(v[2] is None for v in capped), "cap=3 never saturated"
-        assert any(isinstance(v[2], frozenset) for v in capped)
+        capped = sh.states.table["t:ToolsCapped"]
+        seen = pc.struct_field(capped, "seen")
+        assert seen.null_count > capped.null_count, "cap=3 never saturated"
+        assert seen.null_count < len(seen)
     # the restored shard carries on exactly like the original
     flush = np.iinfo(np.int64).max
     a = sh.process(EPOCHS, flush, write=False)
@@ -143,7 +153,8 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
         for p, sh in enumerate(old):
             sh.process(e, wm, rows.filter(_owned(rows, 2, p)), write=False)
     paths = [sh.snapshot(str(tmp_path / "ckpt"), 2)["path"] for sh in old]
-    union = {c: st for sh in old for c, st in sh.states.items()}
+    union = pa.concat_tables([sh.states.table for sh in old])
+    route = np.array([zlib.crc32(c.encode()) % 3 for c in union["conv_id"].to_pylist()])
 
     def rows(tables):
         return sorted(
@@ -157,24 +168,64 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     new = [Shard(spec, p, str(tmp_path / "data"), lmap) for p in range(3)]
     for p, sh in enumerate(new):
         sh.restore_resharded(paths, 3)
-        _assert_states_equal(
-            sh.states, {c: st for c, st in union.items() if zlib.crc32(c.encode()) % 3 == p}
-        )
+        _assert_states_equal(sh.states, union.filter(pa.array(route == p)))
         assert rows(sh.pending) == [r for r in union_rows if zlib.crc32(r[0].encode()) % 3 == p]
         assert sh.watermark == min(o.watermark for o in old)
-    assert sum(len(sh.states) for sh in new) == len(union)
+    assert sum(len(sh.states) for sh in new) == union.num_rows
 
 
-def test_carry_codec_empty_and_unknown_key():
-    assert decode_carry(encode_carry({})) == {}
-    with pytest.raises(ValueError, match="no columnar encoding"):
-        encode_carry({"c": {"mystery": 1}})
+def _kitchen_turns(conv: str, tools: list, text: str) -> pa.Table:
+    """One conversation's turns a minute apart, one per tool."""
+    n = len(tools)
+    return pa.table({
+        "conv_id": [conv] * n,
+        "turn_idx": pa.array(range(n), pa.int32()),
+        "role": ["tool"] * n,
+        "text": pa.array([text] * n, pa.large_string()),
+        "tool": tools,
+        "ts": pa.array([1_700_000_000_000_000 + i * 60_000_000 for i in range(n)],
+                       pa.timestamp("us")),
+    }, schema=TRANSCRIPT_SCHEMA)
+
+
+def test_carry_schema_depends_only_on_spec(tmp_path):
+    """Two shards of one kitchen_sink_spec job whose conversations exercise
+    different states — A's KvCache never fires and its ToolsCapped
+    saturates, B's KvCache fires and its ToolsCapped stays under the cap —
+    snapshot carries of one schema, and a 2 → 3 rescale of the two
+    snapshots is the crc32 split of their union."""
+    spec = flagship.kitchen_sink_spec()
+    stage1 = compile_stateless(spec)
+    quiet = "nothing to see here"
+    spam = "see https://spam.example/x for a long enough text to be counted"
+    feeds = [
+        [_kitchen_turns(f"a{i}", ["browser", "exec", "files", "mail"], quiet) for i in range(4)],
+        [_kitchen_turns(f"b{i}", ["browser", "exec", "browser"], spam) for i in range(4)],
+    ]
+    old = [Shard(spec, p, str(tmp_path / "data"), {}) for p in range(2)]
+    for sh, feed in zip(old, feeds):
+        sh.process(0, np.iinfo(np.int64).max, stage1(pa.concat_tables(feed)), write=False)
+    a, b = (sh.states.table for sh in old)
+    assert a["k:LastSpamText"].null_count == a.num_rows
+    assert b["k:LastSpamText"].null_count == 0
+    assert pc.struct_field(a["t:ToolsCapped"], "seen").null_count == a.num_rows
+    assert pc.struct_field(b["t:ToolsCapped"], "seen").null_count == 0
+    snaps = [sh.snapshot(str(tmp_path / "ckpt"), 0)["path"] for sh in old]
+    schemas = [ipc_schema(read_checkpoint(p)["carry"]) for p in snaps]
+    assert schemas[0].equals(schemas[1])
+    union = pa.concat_tables([a, b])
+    route = np.array([zlib.crc32(c.encode()) % 3 for c in union["conv_id"].to_pylist()])
+    for p in range(3):
+        sh = Shard(spec, p, str(tmp_path / "data"), {})
+        sh.restore_resharded(snaps, 3)
+        _assert_states_equal(sh.states, union.filter(pa.array(route == p)))
 
 
 def test_pre_arrow_snapshot_rejected(tmp_path):
-    """A snapshot in an older layout — the pickled-dict one, or the first
-    Arrow envelope with its two pattern-state members — fails loudly,
-    naming the format it expected."""
+    """A snapshot in an older layout — the pickled-dict one, the first
+    Arrow envelope with its two pattern-state members, or the second with
+    its encoded carry and separate last_seen — fails loudly, naming the
+    format it expected."""
     path = tmp_path / "state-e00000-p0000.pkl"
     sh = Shard(flagship.flagship_sql_spec(), 0, str(tmp_path / "data"), {})
     for payload in (
@@ -182,6 +233,9 @@ def test_pre_arrow_snapshot_rejected(tmp_path):
         {"format": "osprey-arrow-carry/1", "carry": b"", "pending": [], "last_seen": {},
          "labels": [], "watermark": 0, "open_windows": {}, "pending_absences": {},
          "pending_pairs": {}, "spilled": [], "spill_seq": 0},
+        {"format": "osprey-arrow-carry/2", "carry": b"", "pending": [], "last_seen": {},
+         "labels": [], "watermark": 0, "open_windows": {}, "armed": {},
+         "spilled": [], "spill_seq": 0},
     ):
         with open(path, "wb") as f:
             pickle.dump(payload, f)
@@ -189,3 +243,33 @@ def test_pre_arrow_snapshot_rejected(tmp_path):
             sh.restore(str(path))
         with pytest.raises(ValueError, match=CHECKPOINT_FORMAT):
             sh.restore_resharded([str(path)], 2)
+
+
+def test_spec_swap_conforms_carry(transcripts, tmp_path):
+    """A ruleset swap that adds a session window keeps the carried state of
+    the other features: the carry takes the new spec's schema, the new
+    column is null for conversations the next epoch leaves untouched and
+    set for the ones it advances."""
+    import dataclasses
+
+    tbl, _ = transcripts
+    full = flagship.flagship_sql_spec()
+    before = dataclasses.replace(full, stateful=[s for s in full.stateful if s.name != "sess"])
+    sh = Shard(before, 0, str(tmp_path / "data"), {})
+    (rows0, wm0), (rows1, wm1) = _epochs(tbl, full)[:2]
+    sh.process(0, wm0, rows0, write=False)
+    carried = sh.states.table
+    assert "s:sess" not in carried.column_names
+    sh.update_spec(full)
+    sh.process(1, wm1, rows1, write=False)
+    after = sh.states.table
+    assert "s:sess" in after.column_names
+    old = carried.sort_by("conv_id")
+    new = after.filter(pc.is_in(after["conv_id"], carried["conv_id"])).sort_by("conv_id")
+    same = pc.equal(old["last_turn"], new["last_turn"])  # released nothing at epoch 1
+    assert 0 < pc.sum(same).as_py() < old.num_rows
+    untouched = new.filter(same)
+    assert untouched["s:sess"].null_count == untouched.num_rows
+    _assert_states_equal(untouched.drop_columns(["s:sess"]), old.filter(same))
+    touched = new.filter(pc.invert(same))
+    assert touched["s:sess"].null_count == 0

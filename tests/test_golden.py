@@ -16,6 +16,7 @@ from osprey_ray.pipelines.flagship import (
 )
 from osprey_ray.stages.stateless import compile_stateless
 from osprey_ray.stages.stateful import StatefulPartitionEval
+from osprey_ray.state.carry import Carry
 
 
 def _norm(v):
@@ -155,22 +156,15 @@ def test_exchange_write_dir_layout(small_data, ray_session, tmp_path):
     assert [list(x) for x in a["__verdicts"]] == [list(x) for x in b["__verdicts"]]
 
 
-def _assert_states_equal(a, b, path="states"):
-    """Deep equality of carried state, value types included (int vs
-    np.int64, int64 buffer arrays, frozenset vs None)."""
-    assert type(a) is type(b), f"{path}: {type(a).__name__} != {type(b).__name__}"
-    if isinstance(a, dict):
-        assert a.keys() == b.keys(), f"{path}: keys {sorted(a)} != {sorted(b)}"
-        for k in a:
-            _assert_states_equal(a[k], b[k], f"{path}[{k!r}]")
-    elif isinstance(a, (tuple, list)):
-        assert len(a) == len(b), f"{path}: length {len(a)} != {len(b)}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_states_equal(x, y, f"{path}[{i}]")
-    elif isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and np.array_equal(a, b), f"{path}: {a!r} != {b!r}"
-    else:
-        assert a == b, f"{path}: {a!r} != {b!r}"
+def _assert_states_equal(a, b):
+    """Equality of two carries (``Carry`` or carry tables): the tables
+    sorted by conv_id, schema included."""
+    ta, tb = (x.table if isinstance(x, Carry) else x for x in (a, b))
+    assert ta.schema.equals(tb.schema), f"schemas differ:\n{ta.schema}\n!=\n{tb.schema}"
+    if ta.num_columns:
+        ta, tb = ta.sort_by("conv_id"), tb.sort_by("conv_id")
+    for name in ta.column_names:
+        assert ta[name].equals(tb[name]), f"carry column {name} differs"
 
 
 @pytest.mark.parametrize("k", [2, 7, 40])
@@ -191,7 +185,7 @@ def test_epoch_split_matches_one_shot(small_data, spec_name, k):
     rp = split_rules(spec)
     t1 = compile_stateless(spec)(clean)
 
-    one_states: dict = {}
+    one_states = Carry()
     want, _ = eval_released(
         sort_and_dedup(t1, one_states), spec, rp, one_states, LabelStore(), lev
     )
@@ -202,7 +196,7 @@ def test_epoch_split_matches_one_shot(small_data, spec_name, k):
             sort_keys=[("ts", "ascending"), ("conv_id", "ascending"), ("turn_idx", "ascending")],
         )
     )
-    states: dict = {}
+    states = Carry()
     store = LabelStore()
     outs = []
     cuts = np.linspace(0, arrival.num_rows, k + 1).astype(int)
@@ -518,8 +512,8 @@ def test_salting_protocol_no_ray(small_data, spec_name, block_turns):
     want, _ = eval_released(tbl, spec, rule_plans, {}, LabelStore(), {}, persist=False)
     hot = frozenset(clean["conv_id"].to_pylist())
     cold, held, summaries = carve_hot_blocks(tbl, spec, hot, block_turns)
-    assert cold.num_rows == 0 and len(summaries) > len(hot)
-    got = eval_seeded_blocks(held, scan_seeds(summaries, {}, spec), spec, rule_plans, block_turns)
+    assert cold.num_rows == 0 and summaries.num_rows > len(hot)
+    got = eval_seeded_blocks(held, scan_seeds(summaries, Carry(), spec), spec, rule_plans, block_turns)
     assert got.num_rows == want.num_rows
     _cmp_tables(got, want)
     if spec_name == "kitchen_sink_spec":
@@ -544,11 +538,11 @@ def test_salting_from_carry_no_ray(small_data, spec_name, block_turns, k):
     spec = getattr(flagship, spec_name)()
     rule_plans = split_rules(spec)
     tbl = sort_and_dedup(compile_stateless(spec)(clean), {})
-    one_states: dict = {}
+    one_states = Carry()
     want, _ = eval_released(tbl, spec, rule_plans, one_states, LabelStore(), {})
 
     early = pc.less(tbl["turn_idx"], k)
-    carry: dict = {}
+    carry = Carry()
     head, _ = eval_released(tbl.filter(early), spec, rule_plans, carry, LabelStore(), {})
     rest = tbl.filter(pc.invert(early))
     cold, held, summaries = carve_hot_blocks(
@@ -570,8 +564,6 @@ def test_seeded_eval_drops_redelivered_rows_no_ray(small_data, block_turns, k):
     carry has processed every turn below k.  The one-call seeded eval drops
     exactly those rows, and its output equals the unsalted sort_and_dedup
     + eval_released run from the same carry."""
-    import copy
-
     from osprey_ray.pipelines.flagship import flagship_sql_spec
     from osprey_ray.stages.salted import carve_hot_blocks, eval_seeded_blocks, scan_seeds
     from osprey_ray.stages.stateful import eval_released, sort_and_dedup
@@ -584,7 +576,7 @@ def test_seeded_eval_drops_redelivered_rows_no_ray(small_data, block_turns, k):
     tbl = sort_and_dedup(compile_stateless(spec)(clean), {})
     turn = tbl["turn_idx"]
     early = pc.less(turn, k)
-    carry: dict = {}
+    carry = Carry()
     eval_released(tbl.filter(early), spec, rule_plans, carry, LabelStore(), {})
     fresh = tbl.filter(pc.invert(early))
     # re-deliver turns [k - k % B, k) of the conversations that reach turn
@@ -600,18 +592,46 @@ def test_seeded_eval_drops_redelivered_rows_no_ray(small_data, block_turns, k):
 
     hot = frozenset(clean["conv_id"].to_pylist())
     _, _, summaries = carve_hot_blocks(fresh, spec, hot, block_turns)
-    seeds = scan_seeds(summaries, copy.deepcopy(carry), spec)
+    seeds = scan_seeds(summaries, Carry(carry.table), spec)
     _, held, _ = carve_hot_blocks(sort_and_dedup(incoming, {}), spec, hot, block_turns)
     assert held.num_rows == incoming.num_rows
     got = eval_seeded_blocks(held, seeds, spec, rule_plans, block_turns)
 
-    states = copy.deepcopy(carry)
+    states = Carry(carry.table)
     want, _ = eval_released(
         sort_and_dedup(incoming, states), spec, rule_plans, states, LabelStore(), {},
         persist=False,
     )
     assert got.num_rows == want.num_rows == fresh.num_rows
     _cmp_tables(got, want)
+
+
+def test_scan_seeds_refuses_block_at_or_below_carry_no_ray(small_data):
+    """A hot block that opens at or below its carried ``last_turn`` — a
+    row the late filter let through because ts decreased along the turns —
+    cannot be summarised exactly: with the carry over turns < 6, a carve of
+    turns >= 5 at 4-turn blocks makes ``scan_seeds`` name the
+    conversation, the block and the partitioning assumption instead of
+    merging the row into later seeds."""
+    from osprey_ray.pipelines.flagship import flagship_sql_spec
+    from osprey_ray.stages.salted import carve_hot_blocks, scan_seeds
+    from osprey_ray.stages.stateful import eval_released, sort_and_dedup
+    from osprey_ray.stages.stateless import split_rules
+    from osprey_ray.state.labels import LabelStore
+
+    clean, _ = small_data
+    spec = flagship_sql_spec()
+    tbl = sort_and_dedup(compile_stateless(spec)(clean), None)
+    carry = Carry()
+    eval_released(tbl.filter(pc.less(tbl["turn_idx"], 6)), spec, split_rules(spec), carry,
+                  LabelStore(), {})
+    _, _, summaries = carve_hot_blocks(
+        tbl.filter(pc.greater_equal(tbl["turn_idx"], 5)), spec,
+        frozenset(clean["conv_id"].to_pylist()), 4,
+    )
+    with pytest.raises(ValueError, match=r"conversation '.+' block 1 opens at turn 5, at or "
+                       r"below its carried last_turn 5.*partitioning assumption"):
+        scan_seeds(summaries, carry, spec)
 
 
 def _label_fields_spec():

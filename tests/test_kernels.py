@@ -136,6 +136,16 @@ def test_kernel_batch_row_parity(name, data, consts):
     assert batch_out == row_out, f"{name}: batch {batch_out} != row {row_out}"
 
 
+@pytest.mark.parametrize("name,data,consts", CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+def test_kernel_batch_zero_rows(name, data, consts):
+    """A 0-row slice of every case's input (an empty epoch, or a schema
+    derived from an empty table) gives a 0-length array."""
+    ctx = EvalContext(pa.table({"_dummy": pa.array([], pa.int64())}))
+    arrays = {key: pa.array(vals).slice(0, 0) for key, vals in data.items()}
+    out = get_kernel(name).batch(ctx, **arrays, **consts)
+    assert isinstance(out, pa.Array) and len(out) == 0
+
+
 def test_all_kernels_have_a_case():
     covered = {c[0] for c in CASES} | {
         "HashSha1", "HashSha512", "Join", "ForceString", "RegexMatchMap",

@@ -1604,3 +1604,47 @@ def test_feature_adding_swap_schema_evolution(stream_data, tmp_path):
         a = [list(v) if isinstance(v, np.ndarray) else v for v in got[k]]
         b = [list(v) if isinstance(v, np.ndarray) else v for v in want[k]]
         assert [x if x == x else None for x in a] == [x if x == x else None for x in b], k
+
+
+def test_manifest_watermark_lag_is_measured(stream_data, tmp_path):
+    """Each manifest's ``watermark_lag_s`` is the newest event ts in the
+    input files read through its epoch minus its watermark, in seconds;
+    the flush epoch's is null."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from osprey_ray.pipelines.flagship import flagship_sql_spec
+
+    segs, _, _ = stream_data
+    j = StreamingJob(flagship_sql_spec(), segs, str(tmp_path / "out"), {}, num_shards=2,
+                     files_per_epoch=2)
+    j.run()
+    j.finalize()
+    flush = j.last_committed_epoch()
+    newest = np.iinfo(np.int64).min
+    for e in range(flush):
+        m = j._manifest(e)
+        assert m["input_files"]
+        for f in m["input_files"]:
+            newest = max(newest, pc.max(pq.read_table(f, columns=["ts"])["ts"].cast(pa.int64())).as_py())
+        assert m["watermark_lag_s"] == (newest - m["watermark"]) / 1e6
+    assert j._manifest(flush)["watermark_lag_s"] is None
+
+
+def test_uncommitted_results_dataset_has_results_schema(ray_session, tmp_path):
+    """A kitchen_sink_spec job that has committed nothing reads its results
+    stream as an empty dataset with the schema its result files get."""
+    import pyarrow as pa
+
+    from osprey_ray.datagen import generate_transcripts
+    from osprey_ray.pipelines.flagship import kitchen_sink_spec
+    from osprey_ray.stages.stateful import eval_released, split_rules
+    from osprey_ray.state.labels import LabelStore
+
+    spec = kitchen_sink_spec()
+    j = StreamingJob(spec, [], str(tmp_path / "out"), {}, num_shards=1)
+    rows = j.stage1(generate_transcripts(20, seed=1).drop_columns(["_arrival_us"]))
+    out, _ = eval_released(rows, spec, split_rules(spec), {}, LabelStore(), {})
+    ds = j.committed_dataset("results")
+    assert ds.count() == 0
+    assert pa.schema(ds.schema().base_schema).equals(out.schema)
