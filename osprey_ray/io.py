@@ -1,4 +1,4 @@
-"""Shared Parquet read and write helpers.
+"""Shared Parquet read and write helpers, and the one JSON transcript parse.
 
 ``write_parquet_atomic`` is the engine's one atomic Parquet write (batch
 partition files, shard epoch streams and spills, the driver's hot-window
@@ -47,6 +47,28 @@ TRANSCRIPT_SCHEMA = pa.schema(
         ("ts", pa.timestamp("us")),
     ]
 )
+# Arrow's JSON parser materializes string; the readers cast text to
+# large_string after the parse
+_JSON_PARSE_SCHEMA = pa.schema(
+    [pa.field("text", pa.string()) if f.name == "text" else f for f in TRANSCRIPT_SCHEMA]
+)
+
+
+def parse_transcripts_json(source: str | bytes) -> pa.Table:
+    """JSON lines (a file path or a byte buffer) -> a transcript-schema
+    table, parsed by Arrow's native JSON reader; fields outside the schema
+    (like a segment's ``_arrival_us``) are ignored.  The one parse of
+    JSONL segment reads and of the Kafka and PubSub connectors."""
+    from pyarrow import json as pajson
+
+    t = pajson.read_json(
+        pa.BufferReader(source) if isinstance(source, bytes) else source,
+        parse_options=pajson.ParseOptions(
+            explicit_schema=_JSON_PARSE_SCHEMA, unexpected_field_behavior="ignore"
+        ),
+    )
+    i = t.schema.get_field_index("text")
+    return t.set_column(i, "text", t["text"].cast(pa.large_string()))
 
 
 def read_transcripts_jsonl(path: str) -> "rd.Dataset":
@@ -66,16 +88,10 @@ def read_transcripts_jsonl(path: str) -> "rd.Dataset":
 
     import ray.data as rd
 
-    parse_schema = pa.schema(
-        [
-            f if f.name != "text" else pa.field("text", pa.string())
-            for f in TRANSCRIPT_SCHEMA
-        ]
-    )
     ds = rd.read_json(
         path,
         parse_options=pajson.ParseOptions(
-            explicit_schema=parse_schema, unexpected_field_behavior="error"
+            explicit_schema=_JSON_PARSE_SCHEMA, unexpected_field_behavior="error"
         ),
     )
     return ds.map_batches(

@@ -183,7 +183,7 @@ class TumblingSum:
     values contribute 0, so the running sum is monotone within a window;
     that monotonicity is what lets the streaming shard's window-stream
     accumulator merge cross-epoch partials by ``max`` exactly like counts
-    (shard.py ``_accumulate_windows``).  The reference expresses weighted
+    (shard.py ``merge_windows``).  The reference expresses weighted
     velocity by incrementing a counter N times per event on its Redis-ZSET
     path (example_plugins/src/udfs/cache.py:161-207); here the weight is a
     first-class vectorized expression."""
@@ -201,7 +201,7 @@ class TumblingMax:
     so the running max is a monotone non-negative series within a window;
     like :class:`TumblingCount`/:class:`TumblingSum` the window stream
     merges cross-epoch partials by ``max`` (shard.py
-    ``_accumulate_windows``) and hot-conversation salting combines a
+    ``merge_windows``) and hot-conversation salting combines a
     block's carry-out with the carried partial by ``max`` (salted.py
     ``merge_state``).  The reference has no
     direct analogue — its Redis counter path (example_plugins/src/udfs/

@@ -87,12 +87,12 @@ class _LazyRow:
         return self._tbl.column(name)[self._i].as_py()
 
 
-def _conv_codes(tbl: pa.Table) -> tuple[np.ndarray, pa.Array]:
-    """Dictionary-encode conv_id → (int codes, dictionary array).  The
-    grouping key never round-trips through Python strings.  Accepts a
-    column that is already dictionary-encoded (the exchange ships conv_id
-    dict-encoded to cut object-store bytes)."""
-    col = tbl["conv_id"]
+def _conv_codes(tbl: pa.Table, column: str = "conv_id") -> tuple[np.ndarray, pa.Array]:
+    """Dictionary-encode conv_id (or another grouping ``column``) → (int
+    codes, dictionary array).  The grouping key never round-trips through
+    Python strings.  Accepts a column that is already dictionary-encoded
+    (the exchange ships conv_id dict-encoded to cut object-store bytes)."""
+    col = tbl[column]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if pa.types.is_dictionary(col.type):

@@ -16,8 +16,9 @@ The streaming analogue of the reference's Kafka → coordinator → worker loop
   and read while e is processed;
 - hot conversations (``hot_convs``) route by the sub-key
   ``conv_id#(turn_idx // hot_block_turns)``; shards carve and hold their
-  blocks, and the driver scans the block summaries from its carry table
-  and seeds their evaluation (the salting protocol, stages/salted.py);
+  blocks, and the driver scans the block summaries from its carry table,
+  seeds their evaluation (the salting protocol, stages/salted.py) and
+  merges and emits their windows in its own open-window table;
 - the event-time watermark advances as ``max(seen ts) - allowed_lateness``
   (or the source's own per-partition basis), monotonically; shards release
   and evaluate rows ≤ watermark in order;
@@ -27,11 +28,12 @@ The streaming analogue of the reference's Kafka → coordinator → worker loop
   metrics}.  An epoch is *visible* iff its manifest exists: readers that
   honor manifests get exactly-once output even though shard writes are
   merely idempotent;
-- checkpoint = per-shard state snapshot referenced by the manifest; resume
-  finds the last committed manifest, restores shard snapshots, and
-  continues from the next uncommitted epoch (replaying the recorded offset
-  ranges of epochs since the last snapshot in no-write recovery mode when
-  snapshots are sparser than manifests).
+- checkpoint = per-shard state snapshot (plus the driver's hot carry and
+  open-window tables) referenced by the manifest; resume finds the last
+  committed manifest, restores shard snapshots, and continues from the
+  next uncommitted epoch (replaying the recorded offset ranges of epochs
+  since the last snapshot in no-write recovery mode when snapshots are
+  sparser than manifests).
 
 Determinism: outputs depend only on (input records, epoch boundaries,
 allowed_lateness) — never wall clock — so a killed+resumed run produces
@@ -50,7 +52,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from osprey_ray.io import write_parquet_atomic
+from osprey_ray.io import parse_transcripts_json, write_parquet_atomic
 from osprey_ray.rules import RuleSpec
 from osprey_ray.stages.salted import HOT_BLOCK_TURNS, check_hot_routing, scan_seeds
 from osprey_ray.stages.stateful import route_keys
@@ -58,8 +60,11 @@ from osprey_ray.stages.stateless import StatelessStage, compile_stateless
 from osprey_ray.state.carry import (
     Carry, from_ipc, ipc_schema, read_checkpoint, to_ipc, write_checkpoint,
 )
+from osprey_ray.streaming.patterns import (
+    ALERT_SCHEMA, LABEL_SCHEMA, LATE_SCHEMA, PAIR_SCHEMA, WINDOW_SCHEMA,
+)
 from osprey_ray.streaming.shard import (
-    StateShard, emit_closed_windows, merge_window_partial, window_families,
+    NO_OPEN_WINDOWS, StateShard, emit_closed_windows, merge_windows, prune_windows,
 )
 from osprey_ray.streaming.source import SegmentLogStream
 
@@ -77,25 +82,8 @@ def _read_segment_chunk(path: str, rgs) -> pa.Table:
     import pyarrow.parquet as pq
 
     if path.endswith((".jsonl", ".json")):
-        from pyarrow import json as pajson
-
-        from osprey_ray.io import TRANSCRIPT_SCHEMA
-
         assert rgs is None, "JSONL segments have no sub-file offsets"
-        parse_schema = pa.schema(
-            [
-                pa.field("text", pa.string()) if f.name == "text" else f
-                for f in TRANSCRIPT_SCHEMA
-            ]
-        )
-        t = pajson.read_json(
-            path,
-            parse_options=pajson.ParseOptions(
-                explicit_schema=parse_schema, unexpected_field_behavior="ignore"
-            ),
-        )
-        i = t.schema.get_field_index("text")
-        return t.set_column(i, "text", t["text"].cast(pa.large_string()))
+        return parse_transcripts_json(path)
     if rgs is None:
         return pq.read_table(path)
     return pq.ParquetFile(path).read_row_groups(list(rgs))
@@ -307,7 +295,7 @@ class StreamingJob:
             check_hot_routing(spec)
         self.hot_block_turns = hot_block_turns
         self.hot_states = Carry()           # hot conversations' carry table
-        self.hot_open_windows: dict = {}    # same keying as shard open_windows
+        self.hot_open_windows = NO_OPEN_WINDOWS  # their open-window table
         self.lateness_us = int(allowed_lateness_s * 1e6)
         self.checkpoint_interval = checkpoint_interval
         self.pending_spill_rows = pending_spill_rows
@@ -586,9 +574,9 @@ class StreamingJob:
                     if hs:
                         payload = read_checkpoint(hs)
                         self.hot_states = Carry(from_ipc(payload["carry"]))
-                        self.hot_open_windows = payload["hot_open_windows"]
+                        self.hot_open_windows = from_ipc(payload["hot_open_windows"])
                     elif self.hot_convs:
-                        self.hot_states, self.hot_open_windows = Carry(), {}
+                        self.hot_states, self.hot_open_windows = Carry(), NO_OPEN_WINDOWS
                 recover_until = last
                 start_epoch = snap_epoch + 1
                 # shards were constructed with the base spec; re-apply the
@@ -601,8 +589,9 @@ class StreamingJob:
 
     def _apply_spec(self, spec: RuleSpec) -> None:
         """Swap the compiled ruleset at an epoch boundary: recompile the
-        stateless stage for subsequent read tasks and push the new spec to
-        every shard (actor FIFO ordering lands the swap between epochs)."""
+        stateless stage for subsequent read tasks, push the new spec to
+        every shard (actor FIFO ordering lands the swap between epochs) and
+        prune the driver's hot open windows as the shards prune theirs."""
         spec.validate()
         if self.hot_convs:
             check_hot_routing(spec)
@@ -611,6 +600,7 @@ class StreamingJob:
         self.spec = spec
         self.stage1 = compile_stateless(spec)
         self._cur_hash = spec.content_hash()
+        self.hot_open_windows = prune_windows(self.hot_open_windows, spec)
         if self.shards is not None:
             ray.get([s.update_spec.remote(spec) for s in self.shards])
 
@@ -639,10 +629,10 @@ class StreamingJob:
         """Per-epoch driver side of the routed hot-conversation exchange:
         gather every shard's block boundary summaries, scan them from the
         driver-held carry table (stages/salted.py ``scan_seeds``), seed the
-        shards' held-block evaluation with the seed table, fold the returned
-        window partials into the driver's hot open-window accumulators, and
-        emit the hot windows the watermark closed.  Work here is O(hot
-        convs × blocks) — never rows."""
+        shards' held-block evaluation with the seed table, merge the returned
+        window partials into the driver's hot open-window table and emit
+        the hot windows the watermark closed, as the shards do.  Work here
+        is O(hot convs × blocks) — never rows."""
         if not self.hot_convs:
             return None
         out = {"files": [], "released": 0, "fired": 0, "windows_file": None}
@@ -658,9 +648,10 @@ class StreamingJob:
                 out["fired"] += h["fired"]
                 if h["file"]:
                     out["files"].append(h["file"])
-                for key, val in h["win_partials"]:
-                    merge_window_partial(self.hot_open_windows, tuple(key), val)
-        win_tbl = emit_closed_windows(self.hot_open_windows, *window_families(spec), watermark)
+            self.hot_open_windows = merge_windows(
+                self.hot_open_windows, *(h["win_partials"] for h in hres)
+            )
+        win_tbl, self.hot_open_windows = emit_closed_windows(self.hot_open_windows, spec, watermark)
         if write and win_tbl is not None:
             name = f"windows-e{e:05d}-hot.parquet"
             write_parquet_atomic(win_tbl, os.path.join(self.data_dir, name))
@@ -708,7 +699,7 @@ class StreamingJob:
                 )
                 write_checkpoint(hot_state_path, {
                     "carry": to_ipc(self.hot_states.table),
-                    "hot_open_windows": self.hot_open_windows,
+                    "hot_open_windows": to_ipc(self.hot_open_windows),
                 })
             streams = {
                 key: [s["files"][kind] for s in stats]
@@ -723,7 +714,7 @@ class StreamingJob:
                 open_absences=sum(s.get("open_absences", 0) for s in stats),
                 open_pairs=sum(s.get("open_pairs", 0) for s in stats),
                 open_windows=sum(s.get("open_windows", 0) for s in stats)
-                + len(self.hot_open_windows),
+                + self.hot_open_windows.num_rows,
                 snapshots=snap_paths,
                 hot_state=hot_state_path,
                 hot_routing=(
@@ -819,7 +810,7 @@ class StreamingJob:
             # below) must be restorable
         # the last manifest's recovery point must be fully restorable: every
         # snapshot and hot-state file present and decodable down to its
-        # carry and pending table schemas
+        # carry, open-window and pending table schemas
         if last >= 0:
             snap_e = self._manifest(last).get("last_snapshot_epoch", -1)
             if snap_e >= 0 and os.path.exists(self._manifest_path(snap_e)):
@@ -834,7 +825,8 @@ class StreamingJob:
                         continue
                     try:
                         payload = read_checkpoint(path)
-                        for buf in [payload["carry"], *payload.get("pending", [])]:
+                        wins = payload["open_windows" if kind == "snapshot" else "hot_open_windows"]
+                        for buf in [payload["carry"], wins, *payload.get("pending", [])]:
                             ipc_schema(buf)
                     except Exception:  # noqa: BLE001 — any decode failure
                         problems.append(
@@ -905,35 +897,15 @@ class StreamingJob:
             [(rd.read_parquet(fs, schema=sch), sch) for sch, fs in by_schema.values()]
         )
 
+    _FIXED_SCHEMAS = {"windows": WINDOW_SCHEMA, "labels": LABEL_SCHEMA, "late": LATE_SCHEMA,
+                      "absence": ALERT_SCHEMA, "pairs": PAIR_SCHEMA}
+
     def _stream_schema(self, kind: str) -> pa.Schema:
         """The exact Arrow schema a stream's committed files carry —
-        static for the fixed-layout streams, derived by dry-running the
-        eval path on an empty slice for the spec-dependent ones."""
-        if kind == "absence":
-            from osprey_ray.streaming.patterns import ALERT_SCHEMA
-
-            return ALERT_SCHEMA
-        if kind == "pairs":
-            from osprey_ray.streaming.patterns import PAIR_SCHEMA
-
-            return PAIR_SCHEMA
-        if kind == "windows":
-            return pa.schema(
-                [("window", pa.string()), ("conv_id", pa.string()),
-                 ("start", pa.timestamp("us")), ("end", pa.timestamp("us")),
-                 ("agg_count", pa.int64())]
-            )
-        if kind == "late":
-            return pa.schema(
-                [("conv_id", pa.string()), ("turn_idx", pa.int32()),
-                 ("ts", pa.timestamp("us"))]
-            )
-        if kind == "labels":
-            return pa.schema(
-                [("conv_id", pa.string()), ("ts", pa.timestamp("us")),
-                 ("label", pa.string()), ("status", pa.string()),
-                 ("reason", pa.string())]
-            )
+        declared once for the fixed-layout streams, derived by dry-running
+        the eval path on an empty slice for the results."""
+        if kind in self._FIXED_SCHEMAS:
+            return self._FIXED_SCHEMAS[kind]
         # results: spec-dependent — run the stateless + stateful eval over
         # an EMPTY transcript slice; same code path as a real epoch, so
         # the derived schema matches the committed files exactly

@@ -60,6 +60,18 @@ PAIR_SCHEMA = pa.schema(
         ("second_ts", pa.timestamp("us")),
     ]
 )
+# the shard's other fixed-layout output streams (results' schema is the spec's)
+WINDOW_SCHEMA = pa.schema([
+    ("window", pa.string()), ("conv_id", pa.string()), ("start", pa.timestamp("us")),
+    ("end", pa.timestamp("us")), ("agg_count", pa.int64()),
+])
+LABEL_SCHEMA = pa.schema([
+    ("conv_id", pa.string()), ("ts", pa.timestamp("us")), ("label", pa.string()),
+    ("status", pa.string()), ("reason", pa.string()),
+])
+LATE_SCHEMA = pa.schema(
+    [("conv_id", pa.string()), ("turn_idx", pa.int32()), ("ts", pa.timestamp("us"))]
+)
 
 
 def spec_patterns(spec) -> list:

@@ -21,13 +21,16 @@ Responsibilities:
 - carve routed hot-conversation rows off the released slice and hold them
   as one table until the driver's scan seeds their one-call evaluation
   (:meth:`StateShard.eval_held_blocks`; protocol in stages/salted.py);
+- merge each slice's window partials into its open-window table (one row
+  per window feature, conversation and bucket | session) and emit the
+  windows the watermark closes with one mask (:func:`emit_closed_windows`);
 - write its own output partition ``part-e{epoch}-p{part}.parquet`` via
   ``io.write_parquet_atomic`` (idempotent: deterministic bytes, safe to
   re-run);
-- snapshot/restore its full state for checkpoints, columnar: the carry
-  table and each pending table as Arrow IPC (:mod:`osprey_ray.state.carry`)
-  — the live table itself, so a snapshot has no encode step — and a
-  rescale re-deals the carry with one crc32 mask over its conv_ids.
+- snapshot/restore its full state for checkpoints, columnar: the carry,
+  open-window and pending tables as Arrow IPC (:mod:`osprey_ray.state.carry`)
+  — the live tables themselves, so a snapshot has no encode step — and a
+  rescale re-deals them with one crc32 mask over their conv_ids.
 
 Partitioning assumption (documented per SURVEY §2.9): within a
 conversation, event-time ``ts`` is non-decreasing in ``turn_idx`` (turn
@@ -56,7 +59,9 @@ from osprey_ray.stages.stateful import _conv_codes, eval_released, route_keys, s
 from osprey_ray.stages.stateless import split_rules
 from osprey_ray.state.carry import Carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint
 from osprey_ray.state.labels import LabelStore
-from osprey_ray.streaming.patterns import spec_patterns, track
+from osprey_ray.streaming.patterns import (
+    LABEL_SCHEMA, LATE_SCHEMA, WINDOW_SCHEMA, spec_patterns, track,
+)
 
 I64_MIN = np.iinfo(np.int64).min
 
@@ -80,24 +85,6 @@ def _fired(out: pa.Table | None) -> int:
     )
 
 
-def merge_window_partial(acc: dict, key: tuple, val) -> None:
-    """Fold one open-window partial into the accumulator ``acc``.  Running
-    counts are monotone within a window, so a tumbling bucket (``key[0] ==
-    "t"``) keeps the max count and a session ``[start, end, count]`` keeps
-    min start, max end and max count: partials merge associatively."""
-    if key[0] == "t":
-        if val > acc.get(key, 0):
-            acc[key] = val
-        return
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = list(val)
-    else:
-        cur[0] = min(cur[0], val[0])
-        cur[1] = max(cur[1], val[1])
-        cur[2] = max(cur[2], val[2])
-
-
 def window_families(spec: RuleSpec) -> tuple[list, list]:
     """The spec's (tumbling, session) window features: the windows the
     watermark closes and emits."""
@@ -108,41 +95,126 @@ def window_families(spec: RuleSpec) -> tuple[list, list]:
     return tumbling, [s for s in spec.stateful if isinstance(s, SessionWindow)]
 
 
-def emit_closed_windows(
-    open_windows: dict, tumbling: list, sessions: list, watermark_us: int
-) -> pa.Table | None:
-    """Emit and EVICT windows the watermark has passed: tumbling when
-    bucket_end <= watermark; session when last_ts + gap <= watermark (no
-    non-late row can extend it).  This is the engine's state-eviction
-    path — ``open_windows`` shrinks as the watermark advances.  Shared by
-    the per-shard accumulators and the driver's hot-conversation
-    accumulator (routed whales span shards, so their windows close
-    driver-side)."""
-    tumb_gap = {sf.name: np.int64(sf.bucket_seconds * 1e6) for sf in tumbling}
-    sess_gap = {sf.name: np.int64(sf.gap_seconds * 1e6) for sf in sessions}
-    rows = []
-    for key in list(open_windows):
-        kind, name, cid, k2 = key
-        if kind == "t":
-            if k2 + int(tumb_gap[name]) <= watermark_us:
-                rows.append((name, cid, k2, k2 + int(tumb_gap[name]), open_windows.pop(key)))
+# The open windows — a shard's, the driver's for hot conversations, a
+# slice's partials and a checkpoint's — are one table with one row per
+# (window feature, conversation, key): key is the tumbling bucket start (µs)
+# or the session id, start/end the window's bounds in µs (a bucket's, or a
+# session's first and last ts), agg_count its running count so far.
+OPEN_WINDOW_SCHEMA = pa.schema([
+    ("window", pa.string()), ("conv_id", pa.string()), ("key", pa.int64()),
+    ("start", pa.int64()), ("end", pa.int64()), ("agg_count", pa.int64()),
+])
+# (not Schema.empty_table(), which imports pandas into every engine worker)
+NO_OPEN_WINDOWS = pa.Table.from_batches([], schema=OPEN_WINDOW_SCHEMA)
+
+
+def window_partials(out: pa.Table, spec: RuleSpec) -> pa.Table:
+    """An evaluated slice's open-window partials: per window feature, one
+    row per run of (conversation, bucket | session id) with the run's min
+    start, max end and max running count.  The slice's rows come grouped
+    by conversation in turn order, so runs need no sort; a run that is
+    split anyway (ts decreasing along turns) is reduced by the merge."""
+    tumbling, sessions = window_families(spec)
+    if out.num_rows == 0 or not (tumbling or sessions):
+        return NO_OPEN_WINDOWS
+    conv = out["conv_id"].combine_chunks()
+    codes = conv.indices if pa.types.is_dictionary(conv.type) else conv
+    conv_new = pc.not_equal(codes[1:], codes[:-1]).to_numpy(zero_copy_only=False)
+    ts = out["ts"].cast(pa.int64()).to_numpy()
+    parts = []
+    for sf in tumbling + sessions:
+        if isinstance(sf, SessionWindow):
+            key = out[f"{sf.name}__id"].to_numpy()
+            cnt = out[f"{sf.name}__count"].to_numpy()
+            lo = hi = ts
         else:
-            st, en, cnt = open_windows[key]
-            if en + int(sess_gap[name]) <= watermark_us:
-                rows.append((name, cid, st, en, cnt))
-                open_windows.pop(key)
-    if not rows:
-        return None
-    rows.sort()
-    return pa.table(
-        {
-            "window": pa.array([r[0] for r in rows], pa.string()),
-            "conv_id": pa.array([r[1] for r in rows], pa.string()),
-            "start": pa.array([r[2] for r in rows], pa.timestamp("us")),
-            "end": pa.array([r[3] for r in rows], pa.timestamp("us")),
-            "agg_count": pa.array([r[4] for r in rows], pa.int64()),
-        }
+            b_us = np.int64(sf.bucket_seconds * 1e6)
+            key = (ts // b_us) * b_us
+            cnt = out[sf.name].to_numpy()
+            lo, hi = key, key + b_us
+        starts = np.flatnonzero(np.append(True, conv_new | (key[1:] != key[:-1])))
+        parts.append(pa.table([
+            pa.repeat(pa.scalar(sf.name), len(starts)),
+            pc.cast(conv.take(pa.array(starts)), pa.string()),
+            key[starts],
+            np.minimum.reduceat(lo, starts),
+            np.maximum.reduceat(hi, starts),
+            np.maximum.reduceat(cnt, starts),
+        ], schema=OPEN_WINDOW_SCHEMA))
+    return pa.concat_tables(parts)
+
+
+def merge_windows(open_windows: pa.Table, *partials: pa.Table) -> pa.Table:
+    """Fold partial tables into the open windows: one lexsort over the
+    (window, conv_id, key) codes, then per group min start, max end and
+    max count — running counts are monotone within a window, so partials
+    merge associatively.  A window whose count stays 0 never opens."""
+    parts = [t for t in partials if t.num_rows]
+    if not parts:
+        return open_windows
+    tbl = pa.concat_tables([open_windows, *parts])
+    codes = [tbl["key"].to_numpy(), _conv_codes(tbl)[0], _conv_codes(tbl, "window")[0]]
+    order = np.lexsort(codes)
+    key = codes[0][order]
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for c in codes:
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    cnt = np.maximum.reduceat(tbl["agg_count"].to_numpy()[order], starts)
+    keep = cnt > 0
+    first = pa.array(order[starts][keep])
+    return pa.table([
+        tbl["window"].take(first),
+        tbl["conv_id"].take(first),
+        key[starts][keep],
+        np.minimum.reduceat(tbl["start"].to_numpy()[order], starts)[keep],
+        np.maximum.reduceat(tbl["end"].to_numpy()[order], starts)[keep],
+        cnt[keep],
+    ], schema=OPEN_WINDOW_SCHEMA)
+
+
+def prune_windows(open_windows: pa.Table, spec: RuleSpec) -> pa.Table:
+    """Drop the open windows of features that left ``spec`` on a swap:
+    their window config is gone, so they could never close."""
+    tumbling, sessions = window_families(spec)
+    live = pa.array([sf.name for sf in tumbling + sessions], pa.string())
+    return open_windows.filter(pc.is_in(open_windows["window"], live))
+
+
+def emit_closed_windows(
+    open_windows: pa.Table, spec: RuleSpec, watermark_us: int
+) -> tuple[pa.Table | None, pa.Table]:
+    """Split the open windows at the watermark: a window is closed once
+    ``end + gap <= watermark`` (gap 0 for a tumbling bucket, ``spec``'s gap
+    for a session — no non-late row can extend it).  Returns the closed
+    windows as the window-stream table, sorted by (window, conv_id, start,
+    end, agg_count), or None; and the windows still open.  The engine's
+    window-state eviction, for the shards and for the driver's hot
+    conversations (a routed whale spans shards, so its windows close
+    driver-side)."""
+    if not open_windows.num_rows:
+        return None, open_windows
+    tumbling, sessions = window_families(spec)
+    names = pa.array([sf.name for sf in tumbling + sessions], pa.string())
+    gaps = np.array(
+        [0] * len(tumbling) + [int(sf.gap_seconds * 1e6) for sf in sessions], np.int64
     )
+    gap = gaps[pc.index_in(open_windows["window"], names).to_numpy()]
+    closed = open_windows["end"].to_numpy() + gap <= watermark_us
+    if not closed.any():
+        return None, open_windows
+    closed = pa.array(closed)
+    done = open_windows.filter(closed).sort_by(
+        [(k, "ascending") for k in ("window", "conv_id", "start", "end", "agg_count")]
+    )
+    win_tbl = pa.table(
+        [done["window"], done["conv_id"], done["start"].cast(pa.timestamp("us")),
+         done["end"].cast(pa.timestamp("us")), done["agg_count"]],
+        schema=WINDOW_SCHEMA,
+    )
+    return win_tbl, open_windows.filter(pc.invert(closed))
 
 
 class StreamWriteError(RuntimeError):
@@ -205,11 +277,10 @@ class StateShard:
         self._spill_seq = 0
         self._consumed_spills: list[str] = []
         self.watermark: int = np.iinfo(np.int64).min
-        self.tumbling, self.sessions = window_families(spec)
-        # open window accumulators, evicted when the watermark passes:
-        #   ("t", feature, conv_id, bucket_start_us) -> count
-        #   ("s", feature, conv_id, session_id) -> [start_us, end_us, count]
-        self.open_windows: dict[tuple, list | int] = {}
+        # the open windows (OPEN_WINDOW_SCHEMA, one row per window feature,
+        # conversation and bucket | session), evicted when the watermark
+        # passes their end
+        self.open_windows = NO_OPEN_WINDOWS
         # armed A's of the stream patterns (rules.AbsenceAlert /
         # FollowedBy, streaming/patterns.py), expired when the watermark
         # passes a + W:
@@ -240,11 +311,7 @@ class StateShard:
         never close)."""
         self.spec = spec
         self.rule_plans = split_rules(spec)
-        self.tumbling, self.sessions = window_families(spec)
-        live = {s.name for s in self.tumbling} | {s.name for s in self.sessions}
-        self.open_windows = {
-            k: v for k, v in self.open_windows.items() if k[1] in live
-        }
+        self.open_windows = prune_windows(self.open_windows, spec)
         self.patterns = spec_patterns(spec)
         # a watermark that expires nothing: drops only the armed state of
         # patterns that left the spec
@@ -271,15 +338,10 @@ class StateShard:
                 # watermark has passed are never evaluated, but instead of
                 # vanishing behind a counter they ride their own
                 # exactly-once stream for offline reconciliation/backfill
-                lt = t.filter(pc.invert(mask)).select(
-                    ["conv_id", "turn_idx", "ts"]
-                )
-                # routed conv_id arrives dictionary-encoded; decode for a
-                # sortable, schema-stable side-output file
+                # (routed conv_id arrives dictionary-encoded; the cast
+                # decodes it for a sortable, schema-stable file)
                 late_parts.append(
-                    lt.set_column(
-                        0, "conv_id", pc.cast(lt["conv_id"], pa.string())
-                    )
+                    t.filter(pc.invert(mask)).select(LATE_SCHEMA.names).cast(LATE_SCHEMA)
                 )
             if kept.num_rows:
                 self.pending.append(kept)
@@ -335,31 +397,23 @@ class StateShard:
             )
             if self.state_ttl_us is not None and released.num_rows:
                 self._evict_idle(watermark_us)
-            self._accumulate_windows(out)
+            self.open_windows = merge_windows(self.open_windows, window_partials(out, self.spec))
             if muts:
                 # externalized label-mutation stream (the Label output sink,
-                # output_sink.py:156-350 → FIXTURES.md F4 manifest contract)
+                # output_sink.py:156-350 → FIXTURES.md F4 manifest contract);
+                # reason is the CSV of the fired rules (plus dependent_rule
+                # when set) — the reference's mutation reason_name
+                # (output_sink.py:107-118)
                 labels_tbl = pa.table(
-                    {
-                        "conv_id": pa.array([m[0] for m in muts], pa.string()),
-                        "ts": pa.array([m[1] for m in muts], pa.timestamp("us")),
-                        "label": pa.array([m[2] for m in muts], pa.string()),
-                        "status": pa.array([m[3] for m in muts], pa.string()),
-                        # CSV of the fired rules (plus dependent_rule when
-                        # set) — the reference's mutation reason_name
-                        # (output_sink.py:107-118)
-                        "reason": pa.array([m[4] for m in muts], pa.string()),
-                    }
+                    [pa.array([m[i] for m in muts], f.type) for i, f in enumerate(LABEL_SCHEMA)],
+                    schema=LABEL_SCHEMA,
                 )
         if late_parts:
             late_tbl = pa.concat_tables(late_parts).sort_by(
                 [("conv_id", "ascending"), ("turn_idx", "ascending"),
                  ("ts", "ascending")]
             )
-        if self.tumbling or self.sessions:
-            win_tbl = emit_closed_windows(
-                self.open_windows, self.tumbling, self.sessions, watermark_us
-            )
+        win_tbl, self.open_windows = emit_closed_windows(self.open_windows, self.spec, watermark_us)
         streams = {"results": out, "labels": labels_tbl, "late": late_tbl,
                    "pairs": pair_tbl, "windows": win_tbl, "absence": alert_tbl}
         files: dict[str, str | None] = {}
@@ -387,7 +441,7 @@ class StateShard:
             + sum(f["rows"] for f in self.spilled),
             "pending_spilled_rows": sum(f["rows"] for f in self.spilled),
             "files": files,
-            "open_windows": len(self.open_windows),
+            "open_windows": self.open_windows.num_rows,
             "open_absences": sum(len(v) for k, v in self.armed.items() if k[0] == "ab"),
             "open_pairs": sum(len(v) for k, v in self.armed.items() if k[0] == "fb"),
             "hot_summaries": hot_summaries,
@@ -397,76 +451,24 @@ class StateShard:
         """Seeded eval of the routed hot-conversation exchange: evaluate the
         rows :meth:`process` held for ``epoch`` in one call, each block
         seeded with its row of the driver's seed table.  Returns the
-        output file plus compact window partials (the driver owns hot
-        conversations' open-window accumulators — a hot window spans
-        shards, so per-shard accumulation would emit partial duplicates)."""
+        output file plus the slice's open-window partials table (the driver
+        owns hot conversations' open windows — a hot window spans shards,
+        so per-shard accumulation would emit partial duplicates)."""
         out = eval_seeded_blocks(
             self._held_blocks.pop(epoch, None), seeds, self.spec, self.rule_plans,
             self.hot_block_turns,
         )
         if out is None:
             return {"part": self.part, "file": None, "released": 0, "fired": 0,
-                    "win_partials": []}
-        partials: dict = {}
-        self._accumulate_windows(out, into=partials)
+                    "win_partials": NO_OPEN_WINDOWS}
         path = self._write_atomic(epoch, out, prefix="hot") if write else None
         return {
             "part": self.part,
             "file": path,
             "released": out.num_rows,
             "fired": _fired(out),
-            "win_partials": list(partials.items()),
+            "win_partials": window_partials(out, self.spec),
         }
-
-    # -- watermark-driven window aggregate emission + state eviction -------
-
-    def _accumulate_windows(self, out: pa.Table, into: dict | None = None) -> None:
-        """Merge this slice's per-window partials into the open-window
-        accumulators (``into`` overrides the target dict — used to return
-        hot-block partials to the driver instead of accumulating locally).
-        Per-turn running counts are monotone within a window,
-        so the window aggregate is the max of the running count — partials
-        merge associatively across epochs.
-
-        Vectorized: group reduction (lexsort + reduceat) first, then Python
-        touches one entry per OPEN WINDOW, never per row — the per-row loop
-        here used to be the whale-shard's dominant per-epoch serial cost."""
-        if out.num_rows == 0 or not (self.tumbling or self.sessions):
-            return
-        acc = self.open_windows if into is None else into
-        codes, dictionary = _conv_codes(out)
-        names = dictionary.to_pylist()
-        ts = out["ts"].cast(pa.int64()).to_numpy()
-
-        def _group_reduce(sub_key: np.ndarray):
-            order = np.lexsort((sub_key, codes))
-            ck, sk = codes[order], sub_key[order]
-            new = np.empty(len(ck), dtype=bool)
-            new[0] = True
-            new[1:] = (ck[1:] != ck[:-1]) | (sk[1:] != sk[:-1])
-            starts = np.flatnonzero(new)
-            return order, ck[starts], sk[starts], starts
-
-        for sf in self.tumbling:
-            b_us = np.int64(sf.bucket_seconds * 1e6)
-            bucket = (ts // b_us) * b_us
-            cnt = out[sf.name].to_numpy()
-            order, g_conv, g_bucket, starts = _group_reduce(bucket)
-            gmax = np.maximum.reduceat(cnt[order], starts)
-            for c, b, k in zip(g_conv, g_bucket, gmax):
-                merge_window_partial(acc, ("t", sf.name, names[c], int(b)), int(k))
-        for sf in self.sessions:
-            sid = out[f"{sf.name}__id"].to_numpy()
-            cnt = out[f"{sf.name}__count"].to_numpy()
-            order, g_conv, g_sid, starts = _group_reduce(sid)
-            t_o = ts[order]
-            tmin = np.minimum.reduceat(t_o, starts)
-            tmax = np.maximum.reduceat(t_o, starts)
-            cmax = np.maximum.reduceat(cnt[order], starts)
-            for c, s_, lo, hi, k in zip(g_conv, g_sid, tmin, tmax, cmax):
-                merge_window_partial(
-                    acc, ("s", sf.name, names[c], int(s_)), (int(lo), int(hi), int(k))
-                )
 
     def _spill_pending(self) -> None:
         tbl = pa.concat_tables(self.pending, promote_options="default")
@@ -547,9 +549,9 @@ class StateShard:
 
     def snapshot(self, ckpt_dir: str, epoch: int) -> dict:
         """Write this shard's full state as ``state-e{epoch}-p{part}.pkl``:
-        the carry table and each pending table as Arrow IPC under its own
-        schema, inside a pickled envelope with the small members (labels,
-        open windows, armed pattern state, watermark, spill list).  Returns
+        the carry, open-window and pending tables as Arrow IPC under their
+        own schemas, inside a pickled envelope with the small members
+        (labels, armed pattern state, watermark, spill list).  Returns
         the path, the spill files this snapshot no longer references, and
         the snapshot's bytes and seconds."""
         t0 = time.perf_counter()
@@ -560,7 +562,7 @@ class StateShard:
             "pending": [to_ipc(t) for t in self.pending],
             "labels": self.labels.snapshot(),
             "watermark": self.watermark,
-            "open_windows": self.open_windows,
+            "open_windows": to_ipc(self.open_windows),
             "armed": self.armed,
             "spilled": self.spilled,
             "spill_seq": self._spill_seq,
@@ -587,18 +589,17 @@ class StateShard:
 
         Every new shard reads EVERY old snapshot and keeps the
         conversations that route here under ``new_P``: one route mask over
-        each carry table's conv_ids and over each pending table's unique
-        conv_ids, and the label store's own re-deal.  Spilled pending rows
-        are absorbed inline (they re-spill past the threshold on the next
-        process call).  The watermark is the MIN across old shards — conservative: rows the
+        each carry, open-window and pending table's unique conv_ids, one
+        route over the armed pattern state's conv_ids, and the label
+        store's own re-deal.  Spilled pending rows are absorbed inline
+        (they re-spill past the threshold on the next process call).  The
+        watermark is the MIN across old shards — conservative: rows the
         faster old shards already released are in their carried state, and
         the merged watermark only delays future releases until new data
         advances it."""
-        def mine(key: str) -> bool:
-            return route_keys([key], new_P)[0] == self.part
-
-        self.states, self.open_windows = Carry(), {}
-        self.armed = {}
+        self.states = Carry()
+        windows: list[pa.Table] = []
+        armed: dict = {}
         lab_snaps: list = []
         pend: list[pa.Table] = []
         wm = None
@@ -607,13 +608,10 @@ class StateShard:
             carry = from_ipc(payload["carry"])
             if carry.num_rows:
                 self.states.update(carry.filter(_owned(carry, new_P, self.part)))
-            # open_windows keys are (window_name, conv_id, ...) tuples
-            self.open_windows.update(
-                {k: w for k, w in payload["open_windows"].items() if mine(k[1])}
-            )
-            # armed pattern state re-deals by conv like windows; keys are
-            # (kind, pattern, conv_id) and unique across old shards
-            self.armed.update({k: v for k, v in payload["armed"].items() if mine(k[2])})
+            wins = from_ipc(payload["open_windows"])
+            windows.append(wins.filter(_owned(wins, new_P, self.part)))
+            # armed keys are (kind, pattern, conv_id), unique across old shards
+            armed.update(payload["armed"])
             lab_snaps.append(payload["labels"])
             tables = [from_ipc(b) for b in payload["pending"]]
             # old spill files are absorbed here and intentionally NOT
@@ -627,9 +625,14 @@ class StateShard:
                     pend.append(kept)
             w = payload["watermark"]
             wm = w if wm is None else min(wm, w)
+        # each old shard's windows are its own conversations': no merge
+        self.open_windows = pa.concat_tables([NO_OPEN_WINDOWS, *windows]).combine_chunks()
+        cids = sorted({k[2] for k in armed})
+        mine = {c for c, p in zip(cids, route_keys(cids, new_P)) if p == self.part}
+        self.armed = {k: v for k, v in armed.items() if k[2] in mine}
         self.labels = LabelStore.restore(*lab_snaps, num_parts=new_P, part=self.part)
         self.pending = pend
-        self.watermark = wm if wm is not None else np.iinfo(np.int64).min
+        self.watermark = wm if wm is not None else I64_MIN
         self.spilled = []
         # Seed the spill sequence PAST any file already on disk for this
         # part number: starting at 0 would reuse spill-pNNNN-000000.parquet
@@ -666,7 +669,7 @@ class StateShard:
         self.pending = [from_ipc(b) for b in payload["pending"]]
         self.labels = LabelStore.restore(payload["labels"])
         self.watermark = payload["watermark"]
-        self.open_windows = payload["open_windows"]
+        self.open_windows = from_ipc(payload["open_windows"])
         self.armed = payload["armed"]
         self.spilled = payload["spilled"]
         self._spill_seq = payload["spill_seq"]

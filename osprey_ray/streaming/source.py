@@ -36,10 +36,11 @@ both documented in the class docstrings.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 
 import pyarrow as pa
+
+from osprey_ray.io import parse_transcripts_json
 
 
 class EpochBatch:
@@ -290,27 +291,9 @@ class KafkaStream(InputStream):
 
     @staticmethod
     def _decode(messages: list[bytes]) -> pa.Table:
-        """JSON lines -> transcript-schema Arrow table (same explicit-schema
-        parse as JSONL segment reads; extra fields ignored)."""
-        from pyarrow import json as pajson
-
-        from osprey_ray.io import TRANSCRIPT_SCHEMA
-
-        parse_schema = pa.schema(
-            [
-                pa.field("text", pa.string()) if f.name == "text" else f
-                for f in TRANSCRIPT_SCHEMA
-            ]
-        )
-        buf = io.BytesIO(b"\n".join(messages))
-        t = pajson.read_json(
-            buf,
-            parse_options=pajson.ParseOptions(
-                explicit_schema=parse_schema, unexpected_field_behavior="ignore"
-            ),
-        )
-        i = t.schema.get_field_index("text")
-        return t.set_column(i, "text", t["text"].cast(pa.large_string()))
+        """JSON lines -> transcript-schema Arrow table (the JSONL segment
+        reads' parse)."""
+        return parse_transcripts_json(b"\n".join(messages))
 
     # -- InputStream -------------------------------------------------------
 

@@ -71,7 +71,8 @@ def _assert_restored(fresh, sh):
         assert got.equals(want)
     assert fresh.watermark == sh.watermark
     assert fresh.labels.snapshot() == sh.labels.snapshot()
-    assert fresh.open_windows == sh.open_windows
+    assert fresh.open_windows.schema.equals(sh.open_windows.schema)
+    assert fresh.open_windows.equals(sh.open_windows)
 
 
 @pytest.mark.parametrize("spec_name", ["flagship_spec", "kitchen_sink_spec", "flagship_sql_spec"])
@@ -144,7 +145,7 @@ def test_pending_tables_of_two_schemas_roundtrip(tmp_path):
 def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     """Two shards' snapshots re-dealt over three new shards: each new
     shard holds exactly the crc32(conv_id) % 3 slice of the union of the
-    old carries and pending rows."""
+    old carries, open windows and pending rows."""
     tbl, lmap = transcripts
     spec = flagship.flagship_spec()
     old = [Shard(spec, p, str(tmp_path / "data"), lmap) for p in range(2)]
@@ -155,6 +156,10 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     paths = [sh.snapshot(str(tmp_path / "ckpt"), 2)["path"] for sh in old]
     union = pa.concat_tables([sh.states.table for sh in old])
     route = np.array([zlib.crc32(c.encode()) % 3 for c in union["conv_id"].to_pylist()])
+    wins = pa.concat_tables([sh.open_windows for sh in old])
+    assert set(wins["window"].to_pylist()) == {"TurnsThisHour", "sess"}
+    wroute = np.array([zlib.crc32(c.encode()) % 3 for c in wins["conv_id"].to_pylist()])
+    by_key = [(k, "ascending") for k in ("window", "conv_id", "key")]
 
     def rows(tables):
         return sorted(
@@ -169,6 +174,9 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     for p, sh in enumerate(new):
         sh.restore_resharded(paths, 3)
         _assert_states_equal(sh.states, union.filter(pa.array(route == p)))
+        assert sh.open_windows.sort_by(by_key).equals(
+            wins.filter(pa.array(wroute == p)).sort_by(by_key)
+        )
         assert rows(sh.pending) == [r for r in union_rows if zlib.crc32(r[0].encode()) % 3 == p]
         assert sh.watermark == min(o.watermark for o in old)
     assert sum(len(sh.states) for sh in new) == union.num_rows
@@ -224,8 +232,9 @@ def test_carry_schema_depends_only_on_spec(tmp_path):
 def test_pre_arrow_snapshot_rejected(tmp_path):
     """A snapshot in an older layout — the pickled-dict one, the first
     Arrow envelope with its two pattern-state members, or the second with
-    its encoded carry and separate last_seen — fails loudly, naming the
-    format it expected."""
+    its encoded carry and separate last_seen, or the third with its
+    pickled open-window dict — fails loudly, naming the format it
+    expected."""
     path = tmp_path / "state-e00000-p0000.pkl"
     sh = Shard(flagship.flagship_sql_spec(), 0, str(tmp_path / "data"), {})
     for payload in (
@@ -236,6 +245,8 @@ def test_pre_arrow_snapshot_rejected(tmp_path):
         {"format": "osprey-arrow-carry/2", "carry": b"", "pending": [], "last_seen": {},
          "labels": [], "watermark": 0, "open_windows": {}, "armed": {},
          "spilled": [], "spill_seq": 0},
+        {"format": "osprey-arrow-carry/3", "carry": b"", "pending": [], "labels": [],
+         "watermark": 0, "open_windows": {}, "armed": {}, "spilled": [], "spill_seq": 0},
     ):
         with open(path, "wb") as f:
             pickle.dump(payload, f)

@@ -482,6 +482,45 @@ def test_hot_routing_matches_unrouted(stream_data, tmp_path, which):
     assert job.window_stream_table().equals(want_w)
 
 
+def _same_rows(got, want) -> None:
+    """Results tables equal row for row (sorted by conv and turn; the null
+    padding of a swap's missing columns compares as None)."""
+    got, want = _df(got), _df(want)
+    assert list(got.columns) == list(want.columns) and len(got) == len(want)
+    for k in want.columns:
+        a = [x if x == x else None for x in map(_norm, got[k])]
+        b = [x if x == x else None for x in map(_norm, want[k])]
+        assert a == b, f"column {k} differs"
+
+
+def test_hot_routing_swap_removing_window_feature(stream_data, tmp_path):
+    """A swap that removes a window feature prunes the driver's hot open
+    windows as it prunes the shards': the salted job finishes, and its
+    results and window stream equal the unsalted job's."""
+    import dataclasses
+
+    from osprey_ray.pipelines.flagship import flagship_sql_spec
+
+    segs, _, full = stream_data
+    spec = flagship_sql_spec()
+    without = dataclasses.replace(
+        spec,
+        stateful=[s for s in spec.stateful if s.name != "sess"],
+        rules=[r for r in spec.rules if r.name != "RuleLongSession"],
+    )
+    without.validate()
+    kw = dict(num_shards=2, files_per_epoch=2, spec_updates={2: without})
+    ref = StreamingJob(spec, segs, str(tmp_path / "uns"), {}, **kw)
+    ref.run(); ref.finalize()
+    job = StreamingJob(spec, segs, str(tmp_path / "hot"), {}, hot_convs=_hot_set(full, "top3"),
+                       hot_block_turns=8, **kw)
+    job.run(); job.finalize()
+    _same_rows(job.results_table(), ref.results_table())
+    wins = job.window_stream_table()
+    assert wins.equals(ref.window_stream_table())
+    assert set(wins["window"].to_pylist()) == {"TurnsThisHour", "sess"}
+
+
 def test_hot_routing_spreads_bytes(stream_data, tmp_path):
     """The point of the sub-key exchange: a whale's rows no longer all land
     on one shard.  With every conversation hot and an 8-turn block size,
@@ -548,9 +587,10 @@ def test_hot_routing_kill_resume(stream_data, tmp_path, which):
 
 def test_resume_with_different_shard_count(stream_data, tmp_path):
     """Cluster rescale on resume: a run checkpointed at 4 shards resumes at
-    8 (scale up) and at 2 (scale down) and produces bit-identical results —
-    the crc32 ring is just re-dealt across the new shard set
-    (restore_resharded merges every old snapshot's keys/pending/labels)."""
+    8 (scale up) and at 2 (scale down) and produces bit-identical results
+    and window stream — the crc32 ring is just re-dealt across the new
+    shard set (restore_resharded merges every old snapshot's carry, open
+    windows, pending rows and labels)."""
     segs, lmap, full = stream_data
     spec = flagship_spec()
 
@@ -560,6 +600,8 @@ def test_resume_with_different_shard_count(stream_data, tmp_path):
     ref_job.run()
     ref_job.finalize()
     ref = _df(ref_job.results_table())
+    ref_w = ref_job.window_stream_table()
+    assert ref_w.num_rows
 
     for new_p, tag in [(8, "up"), (2, "down")]:
         out = str(tmp_path / f"rescale_{tag}")
@@ -577,6 +619,7 @@ def test_resume_with_different_shard_count(stream_data, tmp_path):
             assert [_norm(x) for x in got[k]] == [_norm(x) for x in ref[k]], (
                 f"rescale {tag}: column {k} differs"
             )
+        assert j2.window_stream_table().equals(ref_w), f"rescale {tag}: window stream differs"
 
 
 def test_rescale_spill_seq_seeded_past_existing_files(tmp_path):
@@ -1648,3 +1691,18 @@ def test_uncommitted_results_dataset_has_results_schema(ray_session, tmp_path):
     ds = j.committed_dataset("results")
     assert ds.count() == 0
     assert pa.schema(ds.schema().base_schema).equals(out.schema)
+
+
+def test_stream_schemas_match_committed_files(stream_data, tmp_path):
+    """The declared schema of the windows, labels and late streams is the
+    footer schema of every committed file of that stream."""
+    segs, lmap, _ = stream_data
+    job = StreamingJob(flagship_spec(), segs, str(tmp_path / "out"), lmap, num_shards=2,
+                       files_per_epoch=3, allowed_lateness_s=60, late_output=True)
+    job.run()
+    job.finalize()
+    for kind in ("windows", "labels", "late"):
+        files = job.committed_files(kind)
+        assert files, f"no committed {kind} file"
+        for f in files:
+            assert pq.read_schema(f).equals(job._stream_schema(kind)), f
