@@ -110,15 +110,15 @@ def route_keys(keys, num_parts: int) -> np.ndarray:
     return np.array([zlib.crc32(k.encode()) % num_parts for k in keys], dtype=np.int32)
 
 
-def _in_order(codes: np.ndarray, turn: np.ndarray, ts: np.ndarray) -> bool:
-    """True when rows already ascend by (codes, turn, ts): the stable
-    lexsort would then be the identity, so it and its take are skipped."""
-    if (codes[1:] < codes[:-1]).any():
-        return False
-    tie = codes[1:] == codes[:-1]
-    if (tie & (turn[1:] < turn[:-1])).any():
-        return False
-    return not (tie & (turn[1:] == turn[:-1]) & (ts[1:] < ts[:-1])).any()
+def _in_order(*keys: np.ndarray) -> bool:
+    """True when rows already ascend by ``keys`` (lexicographically), so a
+    stable lexsort would be the identity and it and its take are skipped."""
+    tie = True
+    for k in keys:
+        if (tie & (k[1:] < k[:-1])).any():
+            return False
+        tie = tie & (k[1:] == k[:-1])
+    return True
 
 
 def sort_and_dedup(tbl: pa.Table, states: Carry | dict | None) -> pa.Table:
@@ -206,17 +206,37 @@ def _opening_carry(new_seg: np.ndarray, starts: np.ndarray, gidx: np.ndarray, se
 _CHUNK = float(1 << 61)
 
 
+def _group_search(ev, egid, q, qgid, lo, width, side: str) -> np.ndarray:
+    """Position in ``ev`` of each query ``q[i]`` searchsorted among the
+    events of its own group ``qgid[i]``.  Events are sorted by (``egid``,
+    ``ev``), queries by group, and group g's values lie in ``[lo[g], lo[g]
+    + width[g])``.  Each group is shifted into its own composite range, so
+    one searchsorted respects group boundaries; far-apart groups would wrap
+    the int64 offsets, so groups run in chunks whose composite range fits
+    (offsets are differences of one wrapping uint64 cumsum)."""
+    width = width.astype(np.uint64)
+    wf = width.astype(np.float64)
+    chunk = ((np.cumsum(wf) - wf) // _CHUNK).astype(np.int64)
+    cu = np.cumsum(width) - width
+    base = (cu - cu[np.searchsorted(chunk, chunk)]).astype(np.int64)
+    ep = ev - lo[egid] + base[egid]
+    qp = q - lo[qgid] + base[qgid]
+    first = np.flatnonzero(np.append(True, np.diff(chunk)))  # each chunk's first group
+    ecut = np.append(np.searchsorted(egid, first), len(ev))
+    qcut = np.append(np.searchsorted(qgid, first), len(q))
+    pos = np.empty(len(q), dtype=np.int64)
+    for e0, e1, q0, q1 in zip(ecut[:-1], ecut[1:], qcut[:-1], qcut[1:]):
+        pos[q0:q1] = e0 + np.searchsorted(ep[e0:e1], qp[q0:q1], side=side)
+    return pos
+
+
 def _sliding(key, flag, gidx, starts, ends, bufs, w, side: str, incl_self: bool):
     """Sliding-window event counts for every row in whole-array ops.
 
     Events are the flagged rows, preceded in each group by its carried
     buffer ``bufs[g]`` (a ``list<int64>`` of sorted keys aligned to groups,
-    null where none; ``bufs=None``: no group carries one).  Each group's
-    timeline is shifted into its own composite range, ``w + 1`` wider than
-    its span, so one searchsorted respects group boundaries.  Far-apart groups would
-    wrap the int64 offsets, so groups run in chunks whose composite range
-    fits: offsets are differences of one wrapping uint64 cumsum, exact
-    inside a chunk.
+    null where none; ``bufs=None``: no group carries one).  Each row's
+    window start is one :func:`_group_search` over its group's events.
 
     ``side="right"`` counts events with key in (k - w, k] (sliding
     windows), ``"left"`` in [k - w, k) (CEP within-turns).  Returns (per-row
@@ -245,19 +265,7 @@ def _sliding(key, flag, gidx, starts, ends, bufs, w, side: str, incl_self: bool)
     added = np.cumsum(fl) + np.cumsum(blen)[gidx]
     if not incl_self:
         added -= fl
-    width = (hi_g - lo_g + w + 1).astype(np.uint64)
-    wf = width.astype(np.float64)
-    chunk = ((np.cumsum(wf) - wf) // _CHUNK).astype(np.int64)
-    cu = np.cumsum(width) - width
-    base = (cu - cu[np.searchsorted(chunk, chunk)]).astype(np.int64)
-    tp = key - lo_g[gidx] + base[gidx]
-    etp = ev - lo_g[egid] + base[egid]
-    lo = np.empty(len(key), dtype=np.int64)
-    bounds = np.flatnonzero(np.diff(chunk)) + 1
-    for g0, g1 in zip(np.append(0, bounds), np.append(bounds, G)):
-        r0, r1 = starts[g0], ends[g1 - 1]
-        e0 = ev_end[g0 - 1] if g0 else 0
-        lo[r0:r1] = e0 + np.searchsorted(etp[e0 : ev_end[g1 - 1]], tp[r0:r1] - w, side=side)
+    lo = _group_search(ev, egid, key - w, gidx, lo_g - w, hi_g - lo_g + w + 1, side)
     return added - lo, ev, ev_end, lo[ends - 1]
 
 

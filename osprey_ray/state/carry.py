@@ -29,8 +29,8 @@ cell means the conversation carries nothing for that key:
 the engine needs, both vectorized: :meth:`Carry.gather` (seeds for a
 slice's runs) and :meth:`Carry.update` (replace the touched rows).  A
 checkpoint is a pickled envelope (:func:`write_checkpoint`) around the
-IPC bytes of the carry, open-window (``streaming.shard``) and pending
-tables and a few small members.
+IPC bytes of the carry, open-window (``streaming.shard``), armed-pattern
+(``streaming.patterns``) and pending tables and a few small members.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from osprey_ray.rules import (
 
 # written into every checkpoint envelope; a file without it (or with a
 # different one) was written by another engine version and is rejected
-CHECKPOINT_FORMAT = "osprey-arrow-carry/4"
+CHECKPOINT_FORMAT = "osprey-arrow-carry/5"
 
 _I64 = pa.int64()
 _BUFFER = pa.list_(_I64)

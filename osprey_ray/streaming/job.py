@@ -810,7 +810,7 @@ class StreamingJob:
             # below) must be restorable
         # the last manifest's recovery point must be fully restorable: every
         # snapshot and hot-state file present and decodable down to its
-        # carry, open-window and pending table schemas
+        # carry, open-window, armed-pattern and pending table schemas
         if last >= 0:
             snap_e = self._manifest(last).get("last_snapshot_epoch", -1)
             if snap_e >= 0 and os.path.exists(self._manifest_path(snap_e)):
@@ -825,8 +825,9 @@ class StreamingJob:
                         continue
                     try:
                         payload = read_checkpoint(path)
-                        wins = payload["open_windows" if kind == "snapshot" else "hot_open_windows"]
-                        for buf in [payload["carry"], wins, *payload.get("pending", [])]:
+                        tables = (("carry", "open_windows", "armed") if kind == "snapshot"
+                                  else ("carry", "hot_open_windows"))
+                        for buf in [*(payload[t] for t in tables), *payload.get("pending", [])]:
                             ipc_schema(buf)
                     except Exception:  # noqa: BLE001 — any decode failure
                         problems.append(

@@ -7,12 +7,13 @@ conversation matching ``second`` with ``b_ts in (a_ts, a_ts + W]`` matches
 it.  A pairs pattern emits one row per matched ``(a, b)`` at the B turn's
 release; an absence pattern disarms every matched A.  Once the watermark
 passes ``a + W`` an armed A expires: an absence pattern emits it as an
-alert row, a pairs pattern drops it.  Both kinds carry the same state,
-``pending[(kind, pattern, conv_id)] -> sorted int64 armed a_ts`` (kind
-``"ab"`` or ``"fb"``, so same-named patterns of the two kinds never share
-an entry).  The reference expresses absence with a timed label that the
-B-rule removes before expiry (``expires_after`` + remove effects); here
-both are first-class engine emissions like the window-aggregate stream.
+alert row, a pairs pattern drops it.  Both kinds carry one state, the
+table a shard holds and its checkpoint stores: :data:`ARMED_SCHEMA`, one
+row per armed A (``kind`` ``"ab"`` | ``"fb"``, so same-named patterns of
+the two kinds never share a row; ``pattern``; ``conv_id``; ``a_ts``).
+The reference expresses absence with a timed label that the B-rule
+removes before expiry (``expires_after`` + remove effects); here both are
+first-class engine emissions like the window-aggregate stream.
 
 Correctness argument for the per-slice protocol (the shard calls
 :func:`track` once per epoch with the watermark-released,
@@ -39,27 +40,26 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from osprey_ray.expr import EvalContext, _as_array, _bool_operand
 from osprey_ray.rules import FollowedBy
-from osprey_ray.stages.stateful import _conv_codes, sort_and_dedup
+from osprey_ray.stages.stateful import _conv_codes, _group_search, _in_order, sort_and_dedup
 
-ALERT_SCHEMA = pa.schema(
-    [
-        ("pattern", pa.string()),
-        ("conv_id", pa.string()),
-        ("first_ts", pa.timestamp("us")),
-        ("deadline", pa.timestamp("us")),
-    ]
-)
-PAIR_SCHEMA = pa.schema(
-    [
-        ("pattern", pa.string()),
-        ("conv_id", pa.string()),
-        ("first_ts", pa.timestamp("us")),
-        ("second_ts", pa.timestamp("us")),
-    ]
-)
+ALERT_SCHEMA = pa.schema([
+    ("pattern", pa.string()), ("conv_id", pa.string()), ("first_ts", pa.timestamp("us")),
+    ("deadline", pa.timestamp("us")),
+])
+PAIR_SCHEMA = pa.schema([
+    ("pattern", pa.string()), ("conv_id", pa.string()), ("first_ts", pa.timestamp("us")),
+    ("second_ts", pa.timestamp("us")),
+])
+# the armed A's of every pattern: one row per A turn, a_ts in µs
+ARMED_SCHEMA = pa.schema([
+    ("kind", pa.string()), ("pattern", pa.string()), ("conv_id", pa.string()), ("a_ts", pa.int64()),
+])
+# (not Schema.empty_table(), which imports pandas into every engine worker)
+NO_ARMED = pa.Table.from_batches([], schema=ARMED_SCHEMA)
 # the shard's other fixed-layout output streams (results' schema is the spec's)
 WINDOW_SCHEMA = pa.schema([
     ("window", pa.string()), ("conv_id", pa.string()), ("start", pa.timestamp("us")),
@@ -117,90 +117,85 @@ def pattern_masks(tbl: pa.Table, patterns: list) -> dict[tuple, tuple]:
     return out
 
 
-def _table(schema: pa.Schema, rows: list[tuple]) -> pa.Table | None:
-    """``(pattern, conv_id, ts1 array, ts2 array)`` chunks → one table
-    sorted by all four columns, so each epoch's file is byte-deterministic."""
-    if not rows:
+def _stream(schema: pa.Schema, pattern, conv, ts1, ts2) -> pa.Table | None:
+    """A pairs or alerts table sorted by all four columns, so each epoch's
+    file is byte-deterministic; None when empty."""
+    if not len(ts1):
         return None
-    n = [len(r[2]) for r in rows]
-    cols = [
-        pa.array([r[0] for r, k in zip(rows, n) for _ in range(k)], pa.string()),
-        pa.array([r[1] for r, k in zip(rows, n) for _ in range(k)], pa.string()),
-        pa.array(np.concatenate([r[2] for r in rows])).cast(pa.timestamp("us")),
-        pa.array(np.concatenate([r[3] for r in rows])).cast(pa.timestamp("us")),
-    ]
-    tbl = pa.Table.from_arrays(cols, schema=schema)
+    ts = [pa.array(t).cast(pa.timestamp("us")) for t in (ts1, ts2)]
+    tbl = pa.table([pattern, conv, *ts], schema=schema)
     return tbl.sort_by([(f, "ascending") for f in schema.names])
 
 
 def track(
-    pending: dict, released: pa.Table | None, patterns: list, watermark_us: int
-) -> tuple[pa.Table | None, pa.Table | None]:
-    """Advance every pattern by one released slice and one watermark;
-    return the epoch's ``(pairs, alerts)`` tables (``None`` when empty).
-    Python touches one entry per (pattern, conversation-in-slice) plus the
-    expiry sweep; within an entry the interval test is searchsorted.
-    Entries of patterns no longer in ``patterns`` are dropped."""
-    pairs: list[tuple] = []
-    alerts: list[tuple] = []
+    armed: pa.Table, released: pa.Table | None, patterns: list, watermark_us: int
+) -> tuple[pa.Table, pa.Table | None, pa.Table | None]:
+    """Advance every pattern by one released slice and one watermark:
+    ``(armed, released, patterns, watermark)`` -> ``(armed, pairs,
+    alerts)``, the streams ``None`` when empty.  Python loops over
+    patterns only: the B's in ``(a, a + W]`` of each A's conversation are
+    found by one :func:`_group_search` over (conversation, ts).  Rows of
+    patterns no longer in ``patterns`` are dropped."""
+    if not patterns and not armed.num_rows:
+        return armed, None, None
+    kinds = pa.array([_kind(p) for p in patterns], pa.string())
+    names = pa.array([p.name for p in patterns], pa.string())
+    W = np.array([_window_us(p) for p in patterns], np.int64)
+    pid = pc.index_in(pc.binary_join_element_wise(armed["kind"], armed["pattern"], ""),
+                      pc.binary_join_element_wise(kinds, names, ""))
+    armed = armed.filter(pc.is_valid(pid))
+    pid, a_ts = pid.drop_null().to_numpy(), armed["a_ts"].to_numpy()
+    # conversations are codes into ``convs``: the slice's, then one per
+    # carried row, so a carried A whose conversation is not in the slice
+    # matches nothing
+    convs = pc.cast(armed["conv_id"].combine_chunks(), pa.string())
+    code = np.arange(len(convs))
+    pairs = [(np.empty(0, np.int64),) * 4]  # (pattern, conv, a, b) parts
     if released is not None and released.num_rows and patterns:
-        codes, dictionary = _conv_codes(released)
-        names = dictionary.to_pylist()
+        rcode, dictionary = _conv_codes(released)
+        hit = pc.fill_null(pc.index_in(convs, dictionary), -1).to_numpy()
+        code = np.where(hit >= 0, hit, code + len(dictionary))
+        convs = pa.concat_arrays([pc.cast(dictionary, pa.string()), convs])
         ts = released["ts"].cast(pa.int64()).to_numpy()
-        change = np.empty(len(codes), dtype=bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(codes))
         masks = pattern_masks(released, patterns)
-        for p in patterns:
-            kind = _kind(p)
-            amask, bmask = masks[kind, p.name]
-            W = _window_us(p)
-            for s, e in zip(starts, ends):
-                a_new = ts[s:e][amask[s:e]]
-                b_new = ts[s:e][bmask[s:e]]
-                if not len(a_new) and not len(b_new):
-                    continue
-                cid = names[codes[s]]
-                key = (kind, p.name, cid)
-                prev = pending.get(key)
-                cand = np.sort(a_new if prev is None else np.concatenate([prev, a_new]))
-                if len(b_new) and len(cand):
-                    b = np.sort(b_new)
-                    # B's in (a, a+W] are b[lo:hi] for each armed a
-                    lo = np.searchsorted(b, cand, side="right")
-                    hi = np.searchsorted(b, cand + W, side="right")
-                    counts = hi - lo
-                    if kind == "ab":
-                        cand = cand[counts == 0]
-                    elif counts.any():
-                        off = np.cumsum(counts) - counts
-                        pos = np.arange(counts.sum()) - np.repeat(off - lo, counts)
-                        pairs.append((p.name, cid, np.repeat(cand, counts), b[pos]))
-                if len(cand):
-                    pending[key] = cand
-                elif prev is not None:
-                    del pending[key]
-    # expiry sweep: no future released row can match an A with
-    # a + W <= watermark — absence patterns emit it, pairs patterns drop it
-    live = {(_kind(p), p.name): _window_us(p) for p in patterns}
-    for key in list(pending):
-        W = live.get(key[:2])
-        if W is None:
-            del pending[key]
-            continue
-        arr = pending[key]
-        due = arr + W <= watermark_us
-        if not due.any():
-            continue
-        if key[0] == "ab":
-            alerts.append((key[1], key[2], arr[due], arr[due] + W))
-        if due.all():
-            del pending[key]
-        else:
-            pending[key] = arr[~due]
-    return _table(PAIR_SCHEMA, pairs), _table(ALERT_SCHEMA, alerts)
+        state = []
+        for i, p in enumerate(patterns):
+            amask, bmask = masks[_kind(p), p.name]
+            ca = np.concatenate([code[pid == i], rcode[amask]])
+            ta = np.concatenate([a_ts[pid == i], ts[amask]])
+            cb, tb = rcode[bmask], ts[bmask]
+            if len(ca) and len(cb):
+                if not _in_order(cb, tb):  # only when ts decreases along turns
+                    o = np.lexsort((tb, cb))
+                    cb, tb = cb[o], tb[o]
+                o = np.argsort(ca, kind="stable")
+                ca, ta = ca[o], ta[o]
+                # every conversation's range spans the whole slice
+                lo = np.full(len(convs), min(ta.min(), tb.min()))
+                span = np.full(len(convs), max(ta.max() + W[i], tb.max()) - lo[0] + 1)
+                # the B's in (a, a + W] are tb[first:first + n]
+                first = _group_search(tb, cb, ta, ca, lo, span, "right")
+                n = _group_search(tb, cb, ta + W[i], ca, lo, span, "right") - first
+                if _kind(p) == "ab":
+                    ca, ta = ca[n == 0], ta[n == 0]
+                else:
+                    pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - first, n)
+                    pairs.append((np.full(len(pos), i), np.repeat(ca, n), np.repeat(ta, n), tb[pos]))
+            state.append((np.full(len(ca), i), ca, ta))
+        pid, code, a_ts = (np.concatenate(c) for c in zip(*state))
+    ppid, pcode, first_ts, second_ts = (np.concatenate(c) for c in zip(*pairs))
+    pair_tbl = _stream(PAIR_SCHEMA, names.take(ppid), convs.take(pcode), first_ts, second_ts)
+    # expiry: no future released row can match an A with a + W <=
+    # watermark — absence patterns emit it, pairs patterns drop it
+    deadline = a_ts + W[pid]
+    due = deadline <= watermark_us
+    alert = due & pc.equal(kinds, "ab").to_numpy(zero_copy_only=False)[pid]
+    alert_tbl = _stream(ALERT_SCHEMA, names.take(pid[alert]), convs.take(code[alert]),
+                        a_ts[alert], deadline[alert])
+    keep = ~due
+    armed = pa.table([kinds.take(pid[keep]), names.take(pid[keep]), convs.take(code[keep]),
+                      a_ts[keep]], schema=ARMED_SCHEMA)
+    return armed, pair_tbl, alert_tbl
 
 
 def absence_stream_batch(tbl: pa.Table, absences: list) -> pa.Table:
@@ -208,5 +203,5 @@ def absence_stream_batch(tbl: pa.Table, absences: list) -> pa.Table:
     end-of-input flush (watermark -> +inf) — one :func:`track` over the
     whole (sorted, deduped) table.  Used as the golden reference for the
     streaming emission and by batch pipelines."""
-    _, alerts = track({}, sort_and_dedup(tbl, {}), absences, np.iinfo(np.int64).max)
-    return alerts if alerts is not None else ALERT_SCHEMA.empty_table()
+    _, _, alerts = track(NO_ARMED, sort_and_dedup(tbl, {}), absences, np.iinfo(np.int64).max)
+    return alerts if alerts is not None else pa.Table.from_batches([], schema=ALERT_SCHEMA)

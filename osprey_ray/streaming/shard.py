@@ -24,11 +24,13 @@ Responsibilities:
 - merge each slice's window partials into its open-window table (one row
   per window feature, conversation and bucket | session) and emit the
   windows the watermark closes with one mask (:func:`emit_closed_windows`);
+  advance its armed-pattern table the same way (:func:`patterns.track`);
 - write its own output partition ``part-e{epoch}-p{part}.parquet`` via
   ``io.write_parquet_atomic`` (idempotent: deterministic bytes, safe to
   re-run);
 - snapshot/restore its full state for checkpoints, columnar: the carry,
-  open-window and pending tables as Arrow IPC (:mod:`osprey_ray.state.carry`)
+  open-window, armed-pattern and pending tables as Arrow IPC
+  (:mod:`osprey_ray.state.carry`)
   — the live tables themselves, so a snapshot has no encode step — and a
   rescale re-deals them with one crc32 mask over their conv_ids.
 
@@ -60,7 +62,7 @@ from osprey_ray.stages.stateless import split_rules
 from osprey_ray.state.carry import Carry, from_ipc, read_checkpoint, to_ipc, write_checkpoint
 from osprey_ray.state.labels import LabelStore
 from osprey_ray.streaming.patterns import (
-    LABEL_SCHEMA, LATE_SCHEMA, WINDOW_SCHEMA, spec_patterns, track,
+    LABEL_SCHEMA, LATE_SCHEMA, NO_ARMED, WINDOW_SCHEMA, spec_patterns, track,
 )
 
 I64_MIN = np.iinfo(np.int64).min
@@ -281,12 +283,10 @@ class StateShard:
         # conversation and bucket | session), evicted when the watermark
         # passes their end
         self.open_windows = NO_OPEN_WINDOWS
-        # armed A's of the stream patterns (rules.AbsenceAlert /
-        # FollowedBy, streaming/patterns.py), expired when the watermark
-        # passes a + W:
-        #   (kind, pattern, conv_id) -> sorted int64 array of armed a_ts
+        # the armed A's of AbsenceAlert / FollowedBy (patterns.ARMED_SCHEMA,
+        # one row per armed A), expired when the watermark passes a + W
         self.patterns = spec_patterns(spec)
-        self.armed: dict[tuple, np.ndarray] = {}
+        self.armed = NO_ARMED
         self.late_output = late_output
         # idle-conversation state eviction horizon (validated job-side:
         # only time-bounded specs, ttl >= lateness and >= every feature
@@ -315,7 +315,7 @@ class StateShard:
         self.patterns = spec_patterns(spec)
         # a watermark that expires nothing: drops only the armed state of
         # patterns that left the spec
-        track(self.armed, None, self.patterns, I64_MIN)
+        self.armed, _, _ = track(self.armed, None, self.patterns, I64_MIN)
         return True
 
     def process(
@@ -382,7 +382,7 @@ class StateShard:
         # BEFORE hot carving — they only need (conv, ts, stateless masks),
         # and the whole conversation routes to this shard (AbsenceAlert +
         # hot_convs sub-key routing is rejected at job construction)
-        pair_tbl, alert_tbl = track(self.armed, released, self.patterns, watermark_us)
+        self.armed, pair_tbl, alert_tbl = track(self.armed, released, self.patterns, watermark_us)
         if released is not None:
             if self.hot_convs:
                 # hold this shard's routed hot blocks until the driver's
@@ -442,8 +442,8 @@ class StateShard:
             "pending_spilled_rows": sum(f["rows"] for f in self.spilled),
             "files": files,
             "open_windows": self.open_windows.num_rows,
-            "open_absences": sum(len(v) for k, v in self.armed.items() if k[0] == "ab"),
-            "open_pairs": sum(len(v) for k, v in self.armed.items() if k[0] == "fb"),
+            "open_absences": self.armed.filter(pc.equal(self.armed["kind"], "ab")).num_rows,
+            "open_pairs": self.armed.filter(pc.equal(self.armed["kind"], "fb")).num_rows,
             "hot_summaries": hot_summaries,
         }
 
@@ -549,9 +549,9 @@ class StateShard:
 
     def snapshot(self, ckpt_dir: str, epoch: int) -> dict:
         """Write this shard's full state as ``state-e{epoch}-p{part}.pkl``:
-        the carry, open-window and pending tables as Arrow IPC under their
-        own schemas, inside a pickled envelope with the small members
-        (labels, armed pattern state, watermark, spill list).  Returns
+        the carry, open-window, armed-pattern and pending tables as Arrow
+        IPC under their own schemas, inside a pickled envelope with the
+        small members (labels, watermark, spill list).  Returns
         the path, the spill files this snapshot no longer references, and
         the snapshot's bytes and seconds."""
         t0 = time.perf_counter()
@@ -563,7 +563,7 @@ class StateShard:
             "labels": self.labels.snapshot(),
             "watermark": self.watermark,
             "open_windows": to_ipc(self.open_windows),
-            "armed": self.armed,
+            "armed": to_ipc(self.armed),
             "spilled": self.spilled,
             "spill_seq": self._spill_seq,
         })
@@ -589,17 +589,15 @@ class StateShard:
 
         Every new shard reads EVERY old snapshot and keeps the
         conversations that route here under ``new_P``: one route mask over
-        each carry, open-window and pending table's unique conv_ids, one
-        route over the armed pattern state's conv_ids, and the label
-        store's own re-deal.  Spilled pending rows are absorbed inline
-        (they re-spill past the threshold on the next process call).  The
-        watermark is the MIN across old shards — conservative: rows the
-        faster old shards already released are in their carried state, and
-        the merged watermark only delays future releases until new data
-        advances it."""
+        each carry, open-window, armed-pattern and pending table's unique
+        conv_ids, and the label store's own re-deal.  Spilled pending rows
+        are absorbed inline (they re-spill past the threshold on the next
+        process call).  The watermark is the MIN across old shards —
+        conservative: rows the faster old shards already released are in
+        their carried state, and the merged watermark only delays future
+        releases until new data advances it."""
         self.states = Carry()
-        windows: list[pa.Table] = []
-        armed: dict = {}
+        dealt = {"open_windows": [NO_OPEN_WINDOWS], "armed": [NO_ARMED]}
         lab_snaps: list = []
         pend: list[pa.Table] = []
         wm = None
@@ -608,10 +606,9 @@ class StateShard:
             carry = from_ipc(payload["carry"])
             if carry.num_rows:
                 self.states.update(carry.filter(_owned(carry, new_P, self.part)))
-            wins = from_ipc(payload["open_windows"])
-            windows.append(wins.filter(_owned(wins, new_P, self.part)))
-            # armed keys are (kind, pattern, conv_id), unique across old shards
-            armed.update(payload["armed"])
+            for key, parts in dealt.items():
+                tbl = from_ipc(payload[key])
+                parts.append(tbl.filter(_owned(tbl, new_P, self.part)))
             lab_snaps.append(payload["labels"])
             tables = [from_ipc(b) for b in payload["pending"]]
             # old spill files are absorbed here and intentionally NOT
@@ -625,11 +622,9 @@ class StateShard:
                     pend.append(kept)
             w = payload["watermark"]
             wm = w if wm is None else min(wm, w)
-        # each old shard's windows are its own conversations': no merge
-        self.open_windows = pa.concat_tables([NO_OPEN_WINDOWS, *windows]).combine_chunks()
-        cids = sorted({k[2] for k in armed})
-        mine = {c for c, p in zip(cids, route_keys(cids, new_P)) if p == self.part}
-        self.armed = {k: v for k, v in armed.items() if k[2] in mine}
+        # each old shard's open windows and armed A's are its own
+        # conversations': no merge
+        self.open_windows, self.armed = (pa.concat_tables(t).combine_chunks() for t in dealt.values())
         self.labels = LabelStore.restore(*lab_snaps, num_parts=new_P, part=self.part)
         self.pending = pend
         self.watermark = wm if wm is not None else I64_MIN
@@ -670,7 +665,7 @@ class StateShard:
         self.labels = LabelStore.restore(payload["labels"])
         self.watermark = payload["watermark"]
         self.open_windows = from_ipc(payload["open_windows"])
-        self.armed = payload["armed"]
+        self.armed = from_ipc(payload["armed"])
         self.spilled = payload["spilled"]
         self._spill_seq = payload["spill_seq"]
         self._consumed_spills = []

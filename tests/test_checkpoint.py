@@ -1,7 +1,8 @@
 """Columnar shard checkpoints without Ray: a StateShard snapshot restores
-into a fresh shard with the carry, the pending tables (schemas included)
-and the watermark exact, a rescale re-deals exactly the crc32 split, and a
-snapshot in the old pickled-dict format is rejected by name."""
+into a fresh shard with the carry, the pending tables (schemas included),
+the open windows, the armed pattern table and the watermark exact, a
+rescale re-deals exactly the crc32 split, and a snapshot in an older
+format is rejected by name."""
 
 import pickle
 import zlib
@@ -14,7 +15,8 @@ import pytest
 from osprey_ray.datagen import generate_label_events, generate_transcripts
 from osprey_ray.pipelines import flagship
 from osprey_ray.pipelines.flagship import label_events_map
-from osprey_ray.rules import LabelAdd, WhenRules
+from osprey_ray.expr import col
+from osprey_ray.rules import AbsenceAlert, FollowedBy, LabelAdd, WhenRules
 from osprey_ray.stages.stateless import compile_stateless
 from osprey_ray.io import TRANSCRIPT_SCHEMA
 from osprey_ray.state.carry import CHECKPOINT_FORMAT, ipc_schema, read_checkpoint
@@ -32,8 +34,20 @@ def transcripts():
     return tbl, label_events_map(generate_label_events(tbl, 42))
 
 
+def _with_patterns(spec):
+    """``spec`` plus an exec → mail AbsenceAlert and FollowedBy, so shards
+    carry armed A's."""
+    a, b = col("tool") == "exec", col("tool") == "mail"
+    spec.absences.append(AbsenceAlert("unanswered", a, b, 600.0))
+    spec.follows.append(FollowedBy("answered", a, b, 600.0))
+    spec.validate()
+    return spec
+
+
 def _spec(name: str):
     spec = getattr(flagship, name)()
+    if name == "flagship_sql_spec":
+        spec = _with_patterns(spec)
     if name == "flagship_spec":
         # delayed self-mutations queue in the label store (delayed, dseq),
         # one with an expiry and one without
@@ -73,6 +87,12 @@ def _assert_restored(fresh, sh):
     assert fresh.labels.snapshot() == sh.labels.snapshot()
     assert fresh.open_windows.schema.equals(sh.open_windows.schema)
     assert fresh.open_windows.equals(sh.open_windows)
+    assert fresh.armed.schema.equals(sh.armed.schema)
+    assert _sorted_armed(fresh.armed).equals(_sorted_armed(sh.armed))
+
+
+def _sorted_armed(tbl: pa.Table) -> pa.Table:
+    return tbl.sort_by([(k, "ascending") for k in ("kind", "pattern", "conv_id", "a_ts")])
 
 
 @pytest.mark.parametrize("spec_name", ["flagship_spec", "kitchen_sink_spec", "flagship_sql_spec"])
@@ -90,8 +110,10 @@ def test_snapshot_roundtrip_no_ray(transcripts, tmp_path, spec_name):
     assert not fresh.states.table.num_columns
     _assert_restored(fresh, sh)
     keys: set = set()
+    armed_kinds: set = set()
     for e, (rows, wm) in enumerate(_epochs(tbl, spec)):
         sh.process(e, wm, rows, write=False)
+        armed_kinds |= set(sh.armed["kind"].to_pylist())
         info = sh.snapshot(str(tmp_path / "ckpt"), e)
         assert info["bytes"] > 0 and info["s"] >= 0
         fresh = Shard(spec, 0, str(tmp_path / "data"), lev)
@@ -106,6 +128,8 @@ def test_snapshot_roundtrip_no_ray(transcripts, tmp_path, spec_name):
         "flagship_sql_spec": {"w:", "t:", "s:", "q:"},
     }[spec_name] | {"conv_id", "last_turn", "last_seen"}
     assert {k[:2] if k[1] == ":" else k for k in keys} == want
+    # only flagship_sql_spec declares patterns; its snapshots carry both kinds
+    assert armed_kinds == ({"ab", "fb"} if spec_name == "flagship_sql_spec" else set())
     if spec_name == "flagship_spec":
         labels = sh.labels
         assert labels.lev and labels.dseq
@@ -145,9 +169,9 @@ def test_pending_tables_of_two_schemas_roundtrip(tmp_path):
 def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     """Two shards' snapshots re-dealt over three new shards: each new
     shard holds exactly the crc32(conv_id) % 3 slice of the union of the
-    old carries, open windows and pending rows."""
+    old carries, open windows, armed A's and pending rows."""
     tbl, lmap = transcripts
-    spec = flagship.flagship_spec()
+    spec = _with_patterns(flagship.flagship_spec())
     old = [Shard(spec, p, str(tmp_path / "data"), lmap) for p in range(2)]
     epochs = _epochs(tbl, spec)[:3]
     for e, (rows, wm) in enumerate(epochs):
@@ -160,6 +184,9 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
     assert set(wins["window"].to_pylist()) == {"TurnsThisHour", "sess"}
     wroute = np.array([zlib.crc32(c.encode()) % 3 for c in wins["conv_id"].to_pylist()])
     by_key = [(k, "ascending") for k in ("window", "conv_id", "key")]
+    armed = pa.concat_tables([sh.armed for sh in old])
+    assert set(armed["kind"].to_pylist()) == {"ab", "fb"}
+    aroute = np.array([zlib.crc32(c.encode()) % 3 for c in armed["conv_id"].to_pylist()])
 
     def rows(tables):
         return sorted(
@@ -177,6 +204,7 @@ def test_restore_resharded_is_crc32_split_of_union(transcripts, tmp_path):
         assert sh.open_windows.sort_by(by_key).equals(
             wins.filter(pa.array(wroute == p)).sort_by(by_key)
         )
+        assert _sorted_armed(sh.armed).equals(_sorted_armed(armed.filter(pa.array(aroute == p))))
         assert rows(sh.pending) == [r for r in union_rows if zlib.crc32(r[0].encode()) % 3 == p]
         assert sh.watermark == min(o.watermark for o in old)
     assert sum(len(sh.states) for sh in new) == union.num_rows
@@ -233,8 +261,8 @@ def test_pre_arrow_snapshot_rejected(tmp_path):
     """A snapshot in an older layout — the pickled-dict one, the first
     Arrow envelope with its two pattern-state members, or the second with
     its encoded carry and separate last_seen, or the third with its
-    pickled open-window dict — fails loudly, naming the format it
-    expected."""
+    pickled open-window dict, or the fourth with its pickled armed-pattern
+    dict — fails loudly, naming the format it expected."""
     path = tmp_path / "state-e00000-p0000.pkl"
     sh = Shard(flagship.flagship_sql_spec(), 0, str(tmp_path / "data"), {})
     for payload in (
@@ -247,6 +275,9 @@ def test_pre_arrow_snapshot_rejected(tmp_path):
          "spilled": [], "spill_seq": 0},
         {"format": "osprey-arrow-carry/3", "carry": b"", "pending": [], "labels": [],
          "watermark": 0, "open_windows": {}, "armed": {}, "spilled": [], "spill_seq": 0},
+        {"format": "osprey-arrow-carry/4", "carry": b"", "pending": [], "labels": [],
+         "watermark": 0, "open_windows": b"", "armed": {("ab", "p", "c0"): np.array([1])},
+         "spilled": [], "spill_seq": 0},
     ):
         with open(path, "wb") as f:
             pickle.dump(payload, f)

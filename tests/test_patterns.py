@@ -13,7 +13,9 @@ from osprey_ray.expr import col, lit
 from osprey_ray.rules import AbsenceAlert, FollowedBy, RuleSpec
 from osprey_ray.stages.stateful import sort_and_dedup
 from osprey_ray.stages.stateless import compile_stateless
-from osprey_ray.streaming.patterns import ALERT_SCHEMA, PAIR_SCHEMA, spec_patterns, track
+from osprey_ray.streaming.patterns import (
+    ALERT_SCHEMA, ARMED_SCHEMA, NO_ARMED, PAIR_SCHEMA, spec_patterns, track,
+)
 
 US = 1_000_000
 I64_MAX = np.iinfo(np.int64).max
@@ -23,12 +25,14 @@ I64_MAX = np.iinfo(np.int64).max
 def streams(draw):
     """(rows, epoch watermarks, W_us, idle W_us).  Steps of 0 give ts ties;
     whole-second steps hit ``b == a + W`` exactly, 1 µs steps land just
-    past it."""
+    past it; negative steps make ts decrease along turns, so B's arrive
+    out of ts order within a conversation."""
     rows = []
     for c in range(draw(st.integers(1, 6))):
-        ts = draw(st.integers(0, 5)) * US
+        ts = draw(st.integers(5, 10)) * US
         for i in range(draw(st.integers(0, 14))):
-            ts += draw(st.sampled_from([0, 0, 1, US, 2 * US, 3 * US, 7 * US]))
+            step = draw(st.sampled_from([0, 0, 1, US, 2 * US, 3 * US, 7 * US, -US, -2 * US - 1]))
+            ts = max(ts + step, 0)
             tool = draw(st.sampled_from(["exec", "mail", "read"]))
             rows.append((f"c{c}", i, ts, tool))
     hi = max((r[2] for r in rows), default=0)
@@ -97,16 +101,17 @@ def test_track_equals_bruteforce_join_and_antijoin(case):
     # stage 1 adds the hidden predicate columns the tracker reads
     tbl = compile_stateless(spec)(tbl)
     ts = np.array([r[2] for r in rows], dtype=np.int64)
-    pending: dict = {}
+    armed = NO_ARMED
     pairs, alerts = [], []
     prev = np.iinfo(np.int64).min
     for wm in [*cuts, I64_MAX]:
         released = tbl.filter(pa.array((ts > prev) & (ts <= wm)))
         prev = max(prev, wm)
-        p_tbl, a_tbl = track(pending, sort_and_dedup(released, {}), spec_patterns(spec), wm)
+        armed, p_tbl, a_tbl = track(armed, sort_and_dedup(released, {}), spec_patterns(spec), wm)
+        assert armed.schema.equals(ARMED_SCHEMA)
         pairs += _rows(p_tbl, PAIR_SCHEMA)
         alerts += _rows(a_tbl, ALERT_SCHEMA)
-    assert pending == {}
+    assert armed.num_rows == 0
     want_pairs, want_alerts = _bruteforce(rows, spec)
     assert sorted(pairs) == want_pairs
     assert sorted(alerts) == want_alerts
