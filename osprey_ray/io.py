@@ -18,6 +18,8 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from osprey_ray.schema import TRANSCRIPT_SCHEMA
+
 
 def write_parquet_atomic(tbl: pa.Table, path: str) -> None:
     """Write ``tbl`` to ``path`` via a tmp file and ``os.replace``.  The
@@ -37,16 +39,6 @@ def read_parquet_clean(path: str, columns: list[str] | None = None) -> "rd.Datas
     return rd.read_parquet(path, columns=columns, schema=sch)
 
 
-TRANSCRIPT_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("role", pa.string()),
-        ("text", pa.large_string()),
-        ("tool", pa.string()),
-        ("ts", pa.timestamp("us")),
-    ]
-)
 # Arrow's JSON parser materializes string; the readers cast text to
 # large_string after the parse
 _JSON_PARSE_SCHEMA = pa.schema(

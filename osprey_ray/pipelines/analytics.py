@@ -25,6 +25,7 @@ from ray.data.aggregate import Count, Sum
 
 from osprey_ray.expr import EvalContext, col, fn, and_, or_
 from osprey_ray.rules import Feature, RuleSpec, Rule
+from osprey_ray.stages.stateful import _group_search, _running_segment_max
 from osprey_ray.stages.stateless import compile_stateless
 
 
@@ -160,8 +161,6 @@ def q_bucket_join(sf_dir: str, n_buckets: int = 16):
     import pyarrow.parquet as pqt
     import ray
     import ray.data as rd
-
-    from osprey_ray.pipelines.textops import _splitmix64
 
     root = tempfile.mkdtemp(prefix="osprey_bucket_")
     try:
@@ -816,67 +815,61 @@ def _key_parts(P: int | None = None) -> int:
     return _KEY_PARTS
 
 
-def _by_key_partition(ds, key_col: str, P: int | None = None):
-    """Shuffle by hash(key) % P — ONE Python callback per partition
-    (not per key); the callback vectorizes over every key in the
-    partition (VERDICT r1 item #5: per-key map_groups is Python-per-group
-    and dies at 100× key cardinality)."""
-    P = _key_parts(P)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized uint64 (public algorithm)."""
+    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _key_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """uint64 routing hash of one key column, a function of the values
+    alone.  Integers mix through :func:`_splitmix64`.  Strings hash once
+    per batch-unique value through the batch's dictionary and gather by
+    code; the hash is pandas' vectorized ``hash_array`` (SipHash with a
+    fixed key — the one ``flagship.approx_expected_entities`` uses), not
+    a Python loop per value as ``stateful.route_keys``' crc32 is."""
+    col = col.combine_chunks()
+    if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
+            or pa.types.is_dictionary(col.type)):
+        return _splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
+    enc = col.dictionary_encode()  # a dictionary column comes back as is
+    words = np.asarray(enc.dictionary.to_numpy(zero_copy_only=False), dtype=object)
+    h = np.append(pd.util.hash_array(words, categorize=False), np.uint64(0))
+    return h[pc.fill_null(enc.indices, len(words)).to_numpy()]  # null: last slot
+
+
+def _by_key_partition(ds, *keys: str, P: int | None = None):
+    """The keyed exchange: shuffle by hash(keys) % P and group on the
+    appended ``__kp``, so the caller's ``map_groups`` runs ONE vectorized
+    callback per partition (not per key — per-key map_groups is
+    Python-per-group and dies at high key cardinality).  Several keys
+    fold into one uint64.  The route depends only on key values, never
+    on per-batch codes: a per-batch ordinal (an ``np.unique`` index)
+    shifts when a batch lacks a value, which would scatter one key
+    across partitions and duplicate its output row."""
+    P = np.uint64(_key_parts(P))
 
     def part(t: pa.Table) -> pa.Table:
-        u = t[key_col].to_numpy().astype(np.uint64)
-        z = (u + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-        return t.append_column("__kp", pa.array(((z >> np.uint64(17)) % np.uint64(P)).view(np.int64)))
+        h = _key_hash(t[keys[0]])
+        for k in keys[1:]:
+            h = _splitmix64(h ^ _key_hash(t[k]))
+        return t.append_column("__kp", pa.array((h % P).view(np.int64)))
 
     return ds.map_batches(part, batch_format="pyarrow").groupby("__kp")
-
-
-def _by_user_partition(ds, P: int | None = None):
-    return _by_key_partition(ds, "user_id", P)
-
-
-def _segmented_range_counts(
-    ts_s: np.ndarray, gidx: np.ndarray, W: int, max_g: int | None = None
-) -> np.ndarray:
-    """Per-row count of rows in the same group with ts in [row_ts - W,
-    row_ts] (peers-inclusive SQL RANGE frame), over group-then-ts-sorted
-    inputs.  Composite-offset trick
-    (each group's times shifted into a disjoint range → one global
-    searchsorted), chunked into runs of ≤ max_g groups so offsets always
-    fit int64 (round-3 advice: gidx*span wraps silently at ~1e5 users ×
-    ~1e13 µs spans).  ``max_g`` is overridable for tests."""
-    n = len(ts_s)
-    span = np.int64(ts_s.max() - ts_s.min() + W + 2)
-    base = ts_s - ts_s.min()
-    n_groups = int(gidx[-1]) + 1
-    if max_g is None:
-        max_g = max(1, int(np.iinfo(np.int64).max // int(span)) - 1)
-    lo = np.empty(n, dtype=np.int64)
-    hi = np.empty(n, dtype=np.int64)
-    for g0 in range(0, n_groups, max_g):
-        i0 = np.searchsorted(gidx, g0, side="left")
-        i1 = np.searchsorted(gidx, g0 + max_g, side="left")
-        shifted = base[i0:i1] + (gidx[i0:i1] - g0) * span
-        lo[i0:i1] = np.searchsorted(shifted, shifted - W, side="left")
-        hi[i0:i1] = np.searchsorted(shifted, shifted, side="right")
-    return hi - lo
 
 
 def q_sliding_window_counts(sf_dir: str):
     """Per event: number of events by the same user with
     ``ts in [t-5min, t]`` (peers-inclusive — matches a SQL RANGE frame).
-    Hash-partitioned by user; within a partition the window count is ONE
-    global searchsorted over composite-offset timestamps (each user's times
-    shifted into a disjoint range — the same trick as the stateful stage's
-    global window path), zero per-user Python."""
+    Hash-partitioned by user; within a partition the window count is two
+    ``stateful._group_search`` calls (the stateful stage's chunk-safe
+    per-group searchsorted), zero per-user Python."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     W = 300_000_000
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "user_id": pa.array([], pa.int64()),
-                             "w5m_count": pa.array([], pa.int64())})
         eid = t["event_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
         uid = t["user_id"].to_numpy()
@@ -887,7 +880,12 @@ def q_sliding_window_counts(sf_dir: str):
         change[0] = True
         change[1:] = uid_s[1:] != uid_s[:-1]
         gidx = np.cumsum(change) - 1
-        counts = _segmented_range_counts(ts_s, gidx, W)
+        # events in [ts - W, ts] of the row's own user
+        starts = np.flatnonzero(change)
+        lo_g = ts_s[starts] - W
+        width = np.maximum.reduceat(ts_s, starts) - lo_g + 1
+        counts = _group_search(ts_s, gidx, ts_s, gidx, lo_g, width, "right") - _group_search(
+            ts_s, gidx, ts_s - W, gidx, lo_g, width, "left")
         return pa.table(
             {
                 "event_id": pa.array(eid_s, pa.int64()),
@@ -896,7 +894,7 @@ def q_sliding_window_counts(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_session_counts(sf_dir: str):
@@ -907,10 +905,6 @@ def q_session_counts(sf_dir: str):
     G = 1_800_000_000
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "n_sessions": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64())})
         uid = t["user_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
         order = np.lexsort((ts, uid))
@@ -932,21 +926,18 @@ def q_session_counts(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_cep_sequence(sf_dir: str):
     """CEP over the event log: per user, count of 'purchase' events within 3
     events after an 'error' — per-partition vectorized on a composite
-    row-number axis (each user's rows offset into a disjoint range so one
-    global searchsorted serves every user)."""
+    row-number axis (``stateful._group_search``: one searchsorted serves
+    every user)."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     K = 3
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "n_matches": pa.array([], pa.int64())})
         uid = t["user_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].to_numpy()
@@ -959,14 +950,14 @@ def q_cep_sequence(sf_dir: str):
         change[1:] = uid_s[1:] != uid_s[:-1]
         starts = np.flatnonzero(change)
         gidx = np.cumsum(change) - 1
-        # composite row index: per-user row number + disjoint per-user base
+        # an error among the K rows before, by per-user row number
         rn = np.arange(n) - starts[gidx]
-        base = gidx * np.int64(n + K + 2)
-        pos = rn + base
-        first_pos = pos[et_s == "error"]
-        added_excl = np.searchsorted(first_pos, pos, side="left")
-        lo = np.searchsorted(first_pos, pos - K, side="left")
-        match = (et_s == "purchase") & (added_excl > lo)
+        err = et_s == "error"
+        lo_g = np.full(len(starts), -K, dtype=np.int64)
+        width = np.diff(np.append(starts, n)) + K
+        hi = _group_search(rn[err], gidx[err], rn, gidx, lo_g, width, "left")
+        lo = _group_search(rn[err], gidx[err], rn - K, gidx, lo_g, width, "left")
+        match = (et_s == "purchase") & (hi > lo)
         n_matches = np.add.reduceat(match.astype(np.int64), starts)
         # reduceat quirk: a length-0 final slice repeats — starts always
         # non-empty and strictly increasing here, so shape == len(starts)
@@ -977,7 +968,7 @@ def q_cep_sequence(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_topk_users(sf_dir: str):
@@ -1105,10 +1096,6 @@ def q_dedup_keep_first(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "event_id": pa.array([], pa.int64())})
         uid = t["user_id"].to_numpy()
         eid = t["event_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -1124,7 +1111,7 @@ def q_dedup_keep_first(sf_dir: str):
         sub = t.take(pa.array(firsts))
         return sub.select(["user_id", "event_type", "event_id"])
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_json_extract(sf_dir: str):
@@ -1301,8 +1288,6 @@ def _detect_hot_keys(
     sample's mean per-key count.  The driver only ever sees ≤ top_k keys
     — at 100 TB the full key histogram never materializes anywhere."""
     from ray.data.aggregate import Sum as _Sum
-
-    from osprey_ray.pipelines.textops import _splitmix64
 
     def partial(t: pa.Table) -> pa.Table:
         rid = t[id_col].cast(pa.int64()).to_numpy().astype(np.uint64)
@@ -1536,8 +1521,6 @@ def _range_boundaries(ds, key: str, n_parts: int, sample_mod: int = 16,
     sample's evenly-spaced quantiles."""
     import ray
 
-    from osprey_ray.pipelines.textops import _splitmix64
-
     def sample(t: pa.Table) -> pa.Table:
         k = t[key].cast(pa.int64()).to_numpy()
         keep = (_splitmix64(k.astype(np.uint64)) % np.uint64(sample_mod)) == 0
@@ -1611,8 +1594,6 @@ def q_merge_join(sf_dir: str, n_parts: int | None = None):
              "qty_c": pa.array([], pa.int64()),
              "n_part": pa.array([], pa.int64())}
         )
-        if t.num_rows == 0:
-            return empty
         side = t["side"].to_numpy()
         key = t["key"].to_numpy()
         lmask = side == 0
@@ -1927,7 +1908,7 @@ def q_event_quantiles(sf_dir: str):
 def q_event_lag(sf_dir: str):
     """Window-function parity: per-user event rank and gap to the previous
     event (LAG) — the standard sessionization precursor.  Hash-partition
-    by user (256 partitions via ``_by_user_partition``), then ONE lexsort
+    by user (the ``_by_key_partition`` exchange), then ONE lexsort
     per partition computes every user's rank and lag vectorized — the
     partition-level pattern, never a Python callback per user key."""
     import pyarrow as pa
@@ -1935,12 +1916,6 @@ def q_event_lag(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def lag_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"event_id": pa.array([], pa.int64()), "user_id": pa.array([], pa.int64()),
-             "rnk": pa.array([], pa.int64()), "gap_us": pa.array([], pa.int64())}
-        )
-        if t.num_rows == 0:
-            return empty
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()  # timestamp[us] → µs
@@ -1965,7 +1940,7 @@ def q_event_lag(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(lag_in_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(lag_in_part, batch_format="pyarrow")
 
 
 def q_value_histogram(sf_dir: str, n_bins: int = 32):
@@ -2020,10 +1995,10 @@ def q_range_join(sf_dir: str, anchor_type: str = "purchase", window_us: int = 3_
     operator).
 
     Scale shape: both join sides are co-partitioned by hashing the equi
-    key (user) — ``_by_user_partition`` — so each partition resolves its
-    intervals with ONE composite-offset searchsorted over the sorted
-    partition timeline (the ``q_sliding_window_counts`` trick, same
-    int64-overflow chunk guard) plus prefix sums for the windowed SUM.
+    key (user) — ``_by_key_partition`` — so each partition resolves its
+    intervals with ONE per-group searchsorted over the sorted
+    partition timeline (``stateful._group_search``, chunked so composite
+    offsets never wrap int64) plus prefix sums for the windowed SUM.
     Partitioning assumption: a window never crosses users, so co-locating
     a user's rows suffices — arbitrary window lengths, no replication.
     For a keyless interval join you would instead bucket time and
@@ -2040,8 +2015,6 @@ def q_range_join(sf_dir: str, anchor_type: str = "purchase", window_us: int = 3_
                 "cents_in_window": pa.array([], pa.int64()),
             }
         )
-        if t.num_rows == 0:
-            return empty
         eid = t["event_id"].to_numpy()
         uid = t["user_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -2060,22 +2033,14 @@ def q_range_join(sf_dir: str, anchor_type: str = "purchase", window_us: int = 3_
         if not anchors.any():
             return empty
         pref = np.concatenate([[0], np.cumsum(c_s)])
-        span = np.int64(ts_s.max() - ts_s.min() + W + 2)
-        base = ts_s - ts_s.min()
-        n_groups = int(gidx[-1]) + 1
-        max_g = max(1, int(np.iinfo(np.int64).max // int(span)) - 1)
         amask_idx = np.nonzero(anchors)[0]
-        lo = np.empty(len(amask_idx), dtype=np.int64)
-        hi = np.empty(len(amask_idx), dtype=np.int64)
-        for g0 in range(0, n_groups, max_g):
-            i0 = np.searchsorted(gidx, g0, side="left")
-            i1 = np.searchsorted(gidx, g0 + max_g, side="left")
-            shifted = base[i0:i1] + (gidx[i0:i1] - g0) * span
-            a0 = np.searchsorted(amask_idx, i0, side="left")
-            a1 = np.searchsorted(amask_idx, i1, side="left")
-            a_sh = shifted[amask_idx[a0:a1] - i0]
-            lo[a0:a1] = i0 + np.searchsorted(shifted, a_sh, side="left")
-            hi[a0:a1] = i0 + np.searchsorted(shifted, a_sh + W, side="left")
+        # the same user's events in [a, a + W)
+        starts = np.flatnonzero(change)
+        lo_g = ts_s[starts]
+        width = np.maximum.reduceat(ts_s, starts) - lo_g + W + 1
+        a_ts, a_g = ts_s[amask_idx], gidx[amask_idx]
+        lo = _group_search(ts_s, gidx, a_ts, a_g, lo_g, width, "left")
+        hi = _group_search(ts_s, gidx, a_ts + W, a_g, lo_g, width, "left")
         return pa.table(
             {
                 "anchor_id": pa.array(eid_s[amask_idx], pa.int64()),
@@ -2085,7 +2050,7 @@ def q_range_join(sf_dir: str, anchor_type: str = "purchase", window_us: int = 3_
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_overlap_join(sf_dir: str):
@@ -2103,9 +2068,8 @@ def q_overlap_join(sf_dir: str):
         overlaps(i) = |{j : s_j <= e_i}| - |{j : e_j < s_i}| - 1
 
     — two order statistics over the group's sorted starts / sorted ends,
-    vectorized across ALL suppliers in a partition with ONE composite-
-    offset searchsorted each (same int64-chunk guard as
-    ``_segmented_range_counts``).  Both sides co-partitioned by the equi
+    vectorized across ALL suppliers in a partition with ONE
+    ``stateful._group_search`` each.  Both sides co-partitioned by the equi
     key (supplier), so no replication; a keyless overlap join would bucket
     time and replicate intervals to overlapping buckets instead.  The SQL
     twin encodes the same sweep with window functions (no pair join there
@@ -2123,13 +2087,6 @@ def q_overlap_join(sf_dir: str):
     DAY = np.int64(86_400_000_000)
 
     def per_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "rid": pa.array([], pa.int64()),
-            "l_suppkey": pa.array([], pa.int64()),
-            "n_overlap": pa.array([], pa.int64()),
-        })
-        if t.num_rows == 0:
-            return empty
         ok = t["l_orderkey"].to_numpy()
         ln = t["l_linenumber"].to_numpy().astype(np.int64)
         supp = t["l_suppkey"].to_numpy()
@@ -2146,26 +2103,14 @@ def q_overlap_join(sf_dir: str):
         grp_first = np.nonzero(change)[0]
         sizes = np.diff(np.append(grp_first, n))
         rid_s = np.arange(n, dtype=np.int64) - np.repeat(grp_first, sizes) + 1
-        vmin = np.int64(min(s_s.min(), e_s.min()))
-        span = np.int64(max(s_s.max(), e_s.max()) - vmin + 2)
-        n_groups = int(gidx[-1]) + 1
-        max_g = max(1, int(np.iinfo(np.int64).max // int(span)) - 1)
-        c1 = np.empty(n, dtype=np.int64)
-        c2 = np.empty(n, dtype=np.int64)
-        for g0 in range(0, n_groups, max_g):
-            i0 = int(np.searchsorted(gidx, g0, side="left"))
-            i1 = int(np.searchsorted(gidx, g0 + max_g, side="left"))
-            off = (gidx[i0:i1] - g0) * span
-            st = np.sort(s_s[i0:i1] - vmin + off)   # starts, group-shifted
-            en = np.sort(e_s[i0:i1] - vmin + off)   # ends, group-shifted
-            q_e = e_s[i0:i1] - vmin + off
-            q_s = s_s[i0:i1] - vmin + off
-            c1[i0:i1] = np.searchsorted(st, q_e, side="right")  # s_j <= e_i
-            c2[i0:i1] = np.searchsorted(en, q_s, side="left")   # e_j <  s_i
-        # c1 - c2 is per-group as-is: an earlier group in the chunk
-        # contributes ALL its starts to c1 and ALL its ends to c2 (its
-        # shifted values sit wholly below a later group's queries), and
-        # those full-group counts are equal, so they cancel in c1 - c2.
+        # a group's starts and ends lie in [its first start, its last end]
+        lo_g = s_s[grp_first]
+        width = np.maximum.reduceat(e_s, grp_first) - lo_g + 1
+        en = e_s[np.lexsort((e_s, gidx))]  # ends, sorted within each group
+        # positions are global: earlier groups add all their starts to c1
+        # and all their ends to c2, equal counts that cancel in c1 - c2
+        c1 = _group_search(s_s, gidx, e_s, gidx, lo_g, width, "right")  # s_j <= e_i
+        c2 = _group_search(en, gidx, s_s, gidx, lo_g, width, "left")    # e_j <  s_i
         return pa.table({
             "rid": pa.array(rid_s, pa.int64()),
             "l_suppkey": pa.array(supp_s, pa.int64()),
@@ -2193,12 +2138,6 @@ def q_peak_concurrency(sf_dir: str):
     DAY = np.int64(86_400_000_000)
 
     def per_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "l_suppkey": pa.array([], pa.int64()),
-            "peak_concurrency": pa.array([], pa.int64()),
-        })
-        if t.num_rows == 0:
-            return empty
         ok = t["l_orderkey"].to_numpy()
         ln = t["l_linenumber"].to_numpy().astype(np.int64)
         supp = t["l_suppkey"].to_numpy()
@@ -2364,18 +2303,8 @@ def q_rolling_window(sf_dir: str, preceding: int = 2):
     ``max(group_start, i - preceding)`` — fully vectorized, no Python
     per row or per user."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    empty = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("user_id", pa.int64()),
-            ("roll_cents", pa.int64()),
-            ("n_in_frame", pa.int64()),
-        ]
-    )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         eid = t["event_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -2401,7 +2330,7 @@ def q_rolling_window(sf_dir: str, preceding: int = 2):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_event_runs(sf_dir: str):
@@ -2427,8 +2356,6 @@ def q_event_runs(sf_dir: str):
     )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         eid = t["event_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -2459,7 +2386,7 @@ def q_event_runs(sf_dir: str):
             pa.schema(empty)
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_interval_coverage(sf_dir: str, length_us: int = 60_000_000):
@@ -2476,18 +2403,9 @@ def q_interval_coverage(sf_dir: str, length_us: int = 60_000_000):
     reduceat — no segmented cummax, no Python per row.  Twin: the
     classic cumulative-max-end islands SQL."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    empty = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("n_intervals", pa.int64()),
-            ("covered_us", pa.int64()),
-        ]
-    )
     L = np.int64(length_us)
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         eid = t["event_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -2516,7 +2434,7 @@ def q_interval_coverage(sf_dir: str, length_us: int = 60_000_000):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_cumulative_users(sf_dir: str):
@@ -2614,14 +2532,6 @@ def q_grouped_mode(sf_dir: str):
     )
 
     def argmax(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [
-                    ("event_type", pa.string()),
-                    ("mode_cents", pa.int64()),
-                    ("n", pa.int64()),
-                ]
-            ).empty_table()
         et = t["event_type"].to_numpy(zero_copy_only=False)
         cents = t["cents"].to_numpy().astype(np.int64)
         n = t["n"].to_numpy().astype(np.int64)
@@ -2972,8 +2882,6 @@ def q_copurchase_pairs(sf_dir: str, top_n: int = 20):
     empty = pa.schema([("p1", pa.int64()), ("p2", pa.int64()), ("n", pa.int64())])
 
     def pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         ok = t["l_orderkey"].to_numpy().astype(np.int64)
         pk = t["l_partkey"].to_numpy().astype(np.int64)
         order = np.lexsort((pk, ok))
@@ -3013,8 +2921,6 @@ def q_copurchase_pairs(sf_dir: str, top_n: int = 20):
         return g.append_column("route", pa.array(route))
 
     def sum_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         p1 = t["p1"].to_numpy().astype(np.int64)
         p2 = t["p2"].to_numpy().astype(np.int64)
         n = t["n"].to_numpy().astype(np.int64)
@@ -3216,17 +3122,8 @@ def q_user_streaks(sf_dir: str):
     :func:`q_interval_coverage` — no Python per row.  Twin: the
     ``dayn - row_number()`` islands trick over DISTINCT days."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    empty = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("n_active_days", pa.int64()),
-            ("max_streak", pa.int64()),
-        ]
-    )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         dayn = (t["ts"].cast(pa.int64()).to_numpy() // 86_400_000_000).astype(np.int64)
         order = np.lexsort((dayn, uid))
@@ -3257,7 +3154,7 @@ def q_user_streaks(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_bounce_sessions(sf_dir: str):
@@ -3272,18 +3169,8 @@ def q_bounce_sessions(sf_dir: str):
     and the per-user fold is two reduceats."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     G = 1_800_000_000
-    empty = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("n_sessions", pa.int64()),
-            ("n_bounce", pa.int64()),
-            ("max_session_events", pa.int64()),
-        ]
-    )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
         order = np.lexsort((ts, uid))
@@ -3315,7 +3202,7 @@ def q_bounce_sessions(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_user_type_diversity(sf_dir: str):
@@ -3350,11 +3237,7 @@ def q_user_type_diversity(sf_dir: str):
         ).aggregate([([], "count_all")])
         return g.drop_columns(["count_all"])
 
-    hist_schema = pa.schema([("n_types", pa.int64()), ("n_user_days", pa.int64())])
-
     def part_hist(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return hist_schema.empty_table()
         u = t["user_id"].to_numpy().astype(np.int64)
         d = t["dayn"].cast(pa.int64()).to_numpy()
         enc = t["event_type"].combine_chunks().dictionary_encode()
@@ -3422,8 +3305,6 @@ def q_big_orders(sf_dir: str, min_qty100: int = 25_000):
     big_schema = pa.schema([("orderkey", pa.int64()), ("qty100", pa.int64())])
 
     def sum_filter(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return big_schema.empty_table()
         ok = t["orderkey"].to_numpy().astype(np.int64)
         q = t["q100"].to_numpy().astype(np.int64)
         order = np.argsort(ok, kind="stable")
@@ -3578,9 +3459,9 @@ def q_attribution(sf_dir: str, window_days: int = 7):
 
     Scale shape: each batch is filtered to the two relevant types
     before the ONE hash(user) exchange; per partition a lexsort and a
-    composite-offset ``maximum.accumulate`` forward-fill (user ordinal ×
-    (n+1) keeps fills from crossing user boundaries) resolve every
-    purchase in O(n log n) with no Python per row."""
+    segmented running-max forward-fill (``stateful._running_segment_max``,
+    so fills never cross users) resolve every purchase in O(n log n) with
+    no Python per row."""
     W = np.int64(window_days) * 86_400_000_000
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
@@ -3596,11 +3477,7 @@ def q_attribution(sf_dir: str, window_days: int = 7):
             }
         )
 
-    empty = pa.schema([("purchase_id", pa.int64()), ("click_id", pa.int64())])
-
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         ts = t["ts"].to_numpy().astype(np.int64)
         eid = t["event_id"].to_numpy().astype(np.int64)
@@ -3611,16 +3488,14 @@ def q_attribution(sf_dir: str, window_days: int = 7):
         new_u = np.empty(n, dtype=bool)
         new_u[0] = True
         new_u[1:] = uid[1:] != uid[:-1]
-        uord = np.cumsum(new_u) - 1
-        # composite forward-fill key: numpy int64 wraps silently — guard
-        assert (int(uord[-1]) + 1) * (n + 1) < 2**63, "attribution key overflows"
-        base = uord.astype(np.int64) * np.int64(n + 1)
-        val = np.where(isc, base + np.arange(n, dtype=np.int64) + 1, base)
+        # forward-fill the last click's row (+1) within each user: a
+        # segmented running max, shifted to the strictly earlier rows
+        cm = _running_segment_max(np.where(isc, np.arange(1, n + 1), 0), new_u, 0)
         m_prev = np.empty(n, dtype=np.int64)
-        m_prev[0] = -1
-        np.maximum.accumulate(val[:-1], out=m_prev[1:])
-        has = m_prev >= base + 1
-        cidx = np.where(has, m_prev - base - 1, 0)
+        m_prev[1:] = cm[:-1]
+        m_prev[new_u] = 0
+        has = m_prev > 0
+        cidx = np.where(has, m_prev - 1, 0)
         sel = ~isc  # purchases
         h = has[sel]
         ci = cidx[sel]
@@ -3630,7 +3505,7 @@ def q_attribution(sf_dir: str, window_days: int = 7):
             {"purchase_id": pa.array(eid[sel]), "click_id": pa.array(click_id)}
         )
 
-    return _by_user_partition(ds.map_batches(pre, batch_format="pyarrow")).map_groups(
+    return _by_key_partition(ds.map_batches(pre, batch_format="pyarrow"), "user_id").map_groups(
         per_part, batch_format="pyarrow"
     )
 
@@ -3657,18 +3532,7 @@ def q_event_type_share(sf_dir: str):
             )
         )
 
-    empty = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("event_type", pa.string()),
-            ("n", pa.int64()),
-            ("share_ppm", pa.int64()),
-        ]
-    )
-
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         g = t.select(["user_id", "event_type", "n"]).group_by(
             ["user_id", "event_type"]
         ).aggregate([("n", "sum")])
@@ -3690,7 +3554,7 @@ def q_event_type_share(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds.map_batches(pre, batch_format="pyarrow")).map_groups(
+    return _by_key_partition(ds.map_batches(pre, batch_format="pyarrow"), "user_id").map_groups(
         per_part, batch_format="pyarrow"
     )
 
@@ -3886,19 +3750,7 @@ def q_revenue_concentration(sf_dir: str):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            ("n_name", pa.string()),
-            ("total_cents", pa.int64()),
-            ("top_custkey", pa.int64()),
-            ("top_cents", pa.int64()),
-            ("top_share_ppm", pa.int64()),
-        ]
-    )
-
     def merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         nk = int(t["nationkey"][0].as_py())
         total = int(pc.sum(t["total_partial"]).as_py())
         ck = t["top_custkey"].to_numpy().astype(np.int64)
@@ -4073,8 +3925,6 @@ def q_part_supplier_breadth(sf_dir: str):
     per_part_schema = pa.schema([("partkey", pa.int64()), ("n_pairs", pa.int64())])
 
     def collapse(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return per_part_schema.empty_table()
         p = t["partkey"].to_numpy().astype(np.int64)
         s = t["suppkey"].to_numpy().astype(np.int64)
         order = np.lexsort((s, p))
@@ -4138,13 +3988,8 @@ def q_event_transitions(sf_dir: str):
     (|types|² ≤ 25 keys) — the final groupby sees ≤|types|² rows per
     partition."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    empty = pa.schema(
-        [("from_type", pa.string()), ("to_type", pa.string()), ("n", pa.int64())]
-    )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].to_numpy().astype(np.int64)
@@ -4165,7 +4010,7 @@ def q_event_transitions(sf_dir: str):
         )
 
     return (
-        _by_user_partition(ds)
+        _by_key_partition(ds, "user_id")
         .map_groups(per_part, batch_format="pyarrow")
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n", alias_name="n"))
@@ -4194,8 +4039,6 @@ def q_session_conversion(sf_dir: str):
     )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].to_numpy().astype(np.int64)
@@ -4218,7 +4061,7 @@ def q_session_conversion(sf_dir: str):
         )
 
     return (
-        _by_user_partition(ds)
+        _by_key_partition(ds, "user_id")
         .map_groups(per_part, batch_format="pyarrow")
         .groupby("entry_type")
         .aggregate(
@@ -4549,20 +4392,7 @@ def q_ntile_rank(sf_dir: str, tiles: int = 4):
         .aggregate(Sum("cents", alias_name="cents"))
     )
 
-    out_schema = pa.schema(
-        [
-            ("event_type", pa.string()),
-            ("user_id", pa.int64()),
-            ("cents", pa.int64()),
-            ("rn", pa.int64()),
-            ("pr_ppm", pa.int64()),
-            ("tile", pa.int64()),
-        ]
-    )
-
     def windows(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         uid = t["user_id"].to_numpy()
         cents = t["cents"].to_numpy()
         order = np.lexsort((uid, -cents))
@@ -4752,8 +4582,6 @@ def q_group_kmv_distinct(sf_dir: str, k: int = 16):
     Scale shape: per-batch combiner keeps only the bottom-k DISTINCT
     hashes per group (one lexsort), so the groupby merge moves ≤ k rows
     per (group, batch) — never a user row."""
-    from osprey_ray.pipelines.textops import _splitmix64
-
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -4776,11 +4604,7 @@ def q_group_kmv_distinct(sf_dir: str, k: int = 16):
             }
         )
 
-    schema = pa.schema([("event_type", pa.string()), ("est_distinct", pa.int64())])
-
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
         hv = np.unique(t["h"].to_numpy().view(np.uint64))
         if len(hv) >= k:
             est = (k - 1) * (1 << 64) // max(int(hv[k - 1]), 1)
@@ -4946,8 +4770,6 @@ def q_funnel_steps(sf_dir: str):
     time; no per-user Python), emitting 3 partial rows per partition."""
     from ray.data.aggregate import Sum
 
-    from osprey_ray.pipelines.textops import _by_key_partition_col
-
     STEPS = ["signup", "click", "purchase"]
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -4962,13 +4784,6 @@ def q_funnel_steps(sf_dir: str):
         )
 
     def chain(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "step": pa.array(STEPS, pa.string()),
-                    "n_users": pa.array([0, 0, 0], pa.int64()),
-                }
-            )
         uid = t["user_id"].to_numpy()
         et = t["event_type"].to_numpy(zero_copy_only=False)
         tus = t["tus"].to_numpy()
@@ -4990,7 +4805,7 @@ def q_funnel_steps(sf_dir: str):
         )
 
     return (
-        _by_key_partition_col(ev.map_batches(project, batch_format="pyarrow"), "user_id")
+        _by_key_partition(ev.map_batches(project, batch_format="pyarrow"), "user_id")
         .map_groups(chain, batch_format="pyarrow")
         .groupby("step")
         .aggregate(Sum("n_users", alias_name="n_users"))
@@ -5011,8 +4826,6 @@ def q_time_weighted_avg(sf_dir: str):
     defined as cents)."""
     from ray.data.aggregate import Sum
 
-    from osprey_ray.pipelines.textops import _by_key_partition_col
-
     ev = _read(sf_dir, "events", ["user_id", "ts", "value", "event_id"])
 
     def project(t: pa.Table) -> pa.Table:
@@ -5026,18 +4839,7 @@ def q_time_weighted_avg(sf_dir: str):
             }
         )
 
-    schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("num", pa.int64()),
-            ("den", pa.int64()),
-            ("twa_scaled", pa.int64()),
-        ]
-    )
-
     def trap(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
         t = t.sort_by(
             [("user_id", "ascending"), ("tus", "ascending"), ("event_id", "ascending")]
         )
@@ -5063,7 +4865,7 @@ def q_time_weighted_avg(sf_dir: str):
             }
         )
 
-    return _by_key_partition_col(
+    return _by_key_partition(
         ev.map_batches(project, batch_format="pyarrow"), "user_id"
     ).map_groups(trap, batch_format="pyarrow")
 
@@ -5082,14 +4884,6 @@ def q_throttle(sf_dir: str, per_hour: int = 1):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def keep(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"event_id": pa.array([], pa.int64()),
-             "user_id": pa.array([], pa.int64()),
-             "hour_s": pa.array([], pa.int64()),
-             "quota_rank": pa.array([], pa.int64())}
-        )
-        if t.num_rows == 0:
-            return empty
         uid = t["user_id"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].cast(pa.int64()).to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -5113,7 +4907,7 @@ def q_throttle(sf_dir: str, per_hour: int = 1):
             }
         )
 
-    return _by_user_partition(ds).map_groups(keep, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(keep, batch_format="pyarrow")
 
 
 def q_window_dedup(sf_dir: str, window_s: int = 3600):
@@ -5128,51 +4922,20 @@ def q_window_dedup(sf_dir: str, window_s: int = 3600):
     Scale shape: one hash(user, type) exchange of projected (key, ts)
     rows, vectorized per-partition lag compare, per-key summary
     aggregate.  Output: events seen/kept per (user, type)."""
-    from osprey_ray.pipelines.textops import _splitmix64
-
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
     w_us = window_s * 1_000_000
 
     def project(t: pa.Table) -> pa.Table:
-        import zlib
-
-        P = _key_parts(None)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(et, return_inverse=True)
-        # BATCH-INDEPENDENT type code: a per-batch ordinal (np.unique index)
-        # shifts when a batch is missing a type, scattering one (user, type)
-        # key across partitions and duplicating its output row — hash the
-        # type STRING instead (crc32 over the handful of uniques)
-        tcode = np.array(
-            [zlib.crc32(str(s).encode()) for s in uniq], dtype=np.uint64
-        )
-        u = t["user_id"].to_numpy().astype(np.uint64)
-        # route by hash(user·7 + type-hash) — co-locates each (user, type)
-        kp = (_splitmix64(u * np.uint64(7) + tcode[inv]) % np.uint64(P)).view(
-            np.int64
-        )
         return pa.table(
             {
                 "user_id": pc.cast(t["user_id"], pa.int64()),
                 "event_type": t["event_type"],
                 "tus": t["ts"].cast(pa.int64()),
                 "event_id": pc.cast(t["event_id"], pa.int64()),
-                "__kp": pa.array(kp, pa.int64()),
             }
         )
 
-    schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("event_type", pa.string()),
-            ("n_events", pa.int64()),
-            ("n_kept", pa.int64()),
-        ]
-    )
-
     def dedup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
         t = t.sort_by(
             [
                 ("user_id", "ascending"),
@@ -5202,11 +4965,9 @@ def q_window_dedup(sf_dir: str, window_s: int = 3600):
         )
         return g.rename_columns(["user_id", "event_type", "n_events", "n_kept"])
 
-    return (
-        ev.map_batches(project, batch_format="pyarrow")
-        .groupby("__kp")
-        .map_groups(dedup, batch_format="pyarrow")
-    )
+    return _by_key_partition(
+        ev.map_batches(project, batch_format="pyarrow"), "user_id", "event_type"
+    ).map_groups(dedup, batch_format="pyarrow")
 
 
 def q_retention_cohorts(sf_dir: str):
@@ -5224,8 +4985,6 @@ def q_retention_cohorts(sf_dir: str):
     bounded (cohort × offset) groupby."""
     from ray.data.aggregate import Sum
 
-    from osprey_ray.pipelines.textops import _by_key_partition_col
-
     WEEK = 604_800_000_000
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -5240,17 +4999,7 @@ def q_retention_cohorts(sf_dir: str):
             }
         )
 
-    schema = pa.schema(
-        [
-            ("cohort_week_us", pa.int64()),
-            ("week_offset", pa.int64()),
-            ("n", pa.int64()),
-        ]
-    )
-
     def cohorts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
         u = t["user_id"].to_numpy()
         wk = t["week"].to_numpy()
         sg = t["is_signup"].to_numpy().astype(bool)
@@ -5277,7 +5026,7 @@ def q_retention_cohorts(sf_dir: str):
         )
 
     return (
-        _by_key_partition_col(
+        _by_key_partition(
             ev.map_batches(project, batch_format="pyarrow"), "user_id"
         )
         .map_groups(cohorts, batch_format="pyarrow")
@@ -5304,7 +5053,6 @@ def q_bloom_join(sf_dir: str):
     from ray.data.aggregate import AggregateFn
 
     from osprey_ray.pipelines.ann import _join_partitions
-    from osprey_ray.pipelines.textops import _splitmix64
 
     M = 1 << 20  # bits; ~700 'F'-order custkeys per sf0.01 → tiny FP rate
     K = 4
@@ -5513,22 +5261,11 @@ def q_out_of_order(sf_dir: str):
     distribution).
 
     Scale shape: ONE hash(user) exchange, then per partition a lexsort +
-    SEGMENTED running max (the composite-offset trick from
-    :func:`_segmented_range_counts`, chunked so shifted values always fit
-    int64) — no Python per row or per user."""
+    SEGMENTED running max (``stateful._running_segment_max``) — no Python
+    per row or per user."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    empty = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("n_events", pa.int64()),
-            ("n_late", pa.int64()),
-            ("max_lateness_us", pa.int64()),
-        ]
-    )
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         uid = t["user_id"].to_numpy().astype(np.int64)
         eid = t["event_id"].to_numpy().astype(np.int64)
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -5538,18 +5275,8 @@ def q_out_of_order(sf_dir: str):
         new = np.empty(n, dtype=bool)
         new[0] = True
         new[1:] = uid_s[1:] != uid_s[:-1]
-        gidx = np.cumsum(new) - 1  # 0..G-1, ascending (sorted by user)
-        tmin = int(ts_s.min())
-        base = ts_s - tmin
-        span = int(base.max()) + 1
-        max_g = max(1, (2**62) // span - 1)
-        cm = np.empty(n, dtype=np.int64)
-        n_groups = int(gidx[-1]) + 1
-        for g0 in range(0, n_groups, max_g):
-            i0 = np.searchsorted(gidx, g0, side="left")
-            i1 = np.searchsorted(gidx, g0 + max_g, side="left")
-            off = (gidx[i0:i1] - g0) * span
-            cm[i0:i1] = np.maximum.accumulate(base[i0:i1] + off) - off
+        base = ts_s - ts_s.min()
+        cm = _running_segment_max(base, new, 0)
         # strict-prefix max: shift right within each segment; segment heads
         # have no predecessor and are never late
         pm = np.empty(n, dtype=np.int64)
@@ -5572,34 +5299,12 @@ def q_out_of_order(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
 # data-quality / profiling / drift operators (round-4 continuation)
 # ---------------------------------------------------------------------------
-
-
-def _route_hash_str(v_arr: "pa.Array") -> np.ndarray:
-    """64-bit ROUTING hash of a string array: vectorized xxhash via polars
-    (deterministic within a run — all that routing needs; downstream
-    callbacks compare the strings themselves, so a collision merely
-    co-locates two values).  Falls back to a blake2b loop if polars is
-    unavailable."""
-    try:
-        import polars as pl
-
-        return pl.Series(v_arr).hash(seed=0).to_numpy().view(np.int64)
-    except Exception:
-        import hashlib
-
-        return np.array(
-            [
-                int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "big")
-                for s in v_arr.to_pylist()
-            ],
-            dtype=np.uint64,
-        ).view(np.int64)
 
 
 def q_column_profile(sf_dir: str):
@@ -5611,9 +5316,9 @@ def q_column_profile(sf_dir: str):
 
     Scale shape: rows/nulls come from a per-batch O(columns)-row partial
     + a tiny groupby; distincts from a per-batch (col, value) dedup →
-    ONE keyed exchange on a 64-bit value ROUTING hash (vectorized
-    xxhash via polars; collisions merely co-locate two values — the
-    per-partition count compares the strings themselves) →
+    ONE keyed exchange on the value (``_by_key_partition``; a hash
+    collision merely co-locates two values — the per-partition count
+    compares the strings themselves) →
     per-partition exact distinct count per column → tiny groupby sum.
     The driver only ever sees O(columns) rows.  String casts are
     injective per type, so distinct-of-strings equals
@@ -5653,13 +5358,10 @@ def q_column_profile(sf_dir: str):
             vals.append(u)
         col_arr = pa.concat_arrays(names) if names else pa.array([], pa.string())
         v_arr = pa.concat_arrays([x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x for x in vals]) if vals else pa.array([], pa.string())
-        route = _route_hash_str(v_arr)
-        return pa.table({"col": col_arr, "v": v_arr, "route": pa.array(route, pa.int64())})
+        return pa.table({"col": col_arr, "v": v_arr})
 
     def part_distinct(t: pa.Table) -> pa.Table:
         empty = pa.schema([("col", pa.string()), ("n_distinct", pa.int64())])
-        if t.num_rows == 0:
-            return empty.empty_table()
         g = pa.TableGroupBy(t.select(["col", "v"]), ["col", "v"]).aggregate(
             [([], "count_all")]
         )
@@ -5667,7 +5369,7 @@ def q_column_profile(sf_dir: str):
         return d.rename_columns(["col", "n_distinct"]).cast(pa.schema(empty))
 
     dist = (
-        _by_key_partition(ds.map_batches(pairs, batch_format="pyarrow"), "route")
+        _by_key_partition(ds.map_batches(pairs, batch_format="pyarrow"), "v")
         .map_groups(part_distinct, batch_format="pyarrow")
         .groupby("col")
         .aggregate(Sum("n_distinct", alias_name="n_distinct"))
@@ -5801,13 +5503,7 @@ def q_type_gini(sf_dir: str):
         ).aggregate([([], "count_all")])
         return g.rename_columns(["user_id", "event_type", "k"])
 
-    out_schema = pa.schema(
-        [("user_id", pa.int64()), ("n_events", pa.int64()), ("gini_ppm", pa.int64())]
-    )
-
     def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         u = t["user_id"].to_numpy().astype(np.int64)
         enc = t["event_type"].combine_chunks().dictionary_encode()
         c = np.asarray(enc.indices).astype(np.int64)
@@ -5863,13 +5559,7 @@ def q_types_listagg(sf_dir: str):
         ).aggregate([([], "count_all")])
         return g.drop_columns(["count_all"])
 
-    out_schema = pa.schema(
-        [("user_id", pa.int64()), ("day", pa.string()), ("types", pa.string())]
-    )
-
     def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         # exact cross-batch dedup, then group rows of one (user, day)
         g = pa.TableGroupBy(
             t.select(["user_id", "dayn", "event_type"]),
@@ -6021,7 +5711,7 @@ def q_asof_nearest(sf_dir: str):
     searchsorted probes per partition (predecessor + successor, pick
     the closer) rather than ``merge_asof(direction='nearest')``, whose
     tie rule is unspecified; co-partitioned by hash(user), per-user
-    timelines isolated by a composite offset."""
+    timelines isolated by ``stateful._group_search``."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def tag(t: pa.Table) -> pa.Table:
@@ -6044,8 +5734,6 @@ def q_asof_nearest(sf_dir: str):
     )
 
     def nearest_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         key = t["key"].to_numpy()
         ts = t["t"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].cast(pa.int64()).to_numpy()
@@ -6054,9 +5742,9 @@ def q_asof_nearest(sf_dir: str):
         cm = ~pm
         if not pm.any() or not cm.any():
             return out_schema.empty_table()
-        # per-user composite offset so ONE sorted purchase array serves
-        # every user: order purchases by (key, ts); map each click to its
-        # user's purchase run via searchsorted on the key runs
+        # ONE sorted purchase array serves every user: order purchases by
+        # (key, ts); map each click to its user's purchase run via
+        # searchsorted on the key runs
         po = np.lexsort((ts[pm], key[pm]))
         pk, pt = key[pm][po], ts[pm][po]
         runs = np.concatenate([[0], np.nonzero(pk[1:] != pk[:-1])[0] + 1])
@@ -6068,27 +5756,16 @@ def q_asof_nearest(sf_dir: str):
         ck, ct, ce, ri = ck[has], ct[has], ce[has], ri[has]
         lo, hi = runs[ri], run_ends[ri]
         # successor = first purchase >= click ts within the user's run:
-        # composite-offset trick (q_range_join / _segmented_range_counts)
-        # — shift each user's timeline into a disjoint range so ONE
-        # global searchsorted resolves every click, chunked so
-        # run_index*span never overflows int64
-        tmin = np.int64(min(pt.min(), ct.min()))
-        span = np.int64(max(pt.max(), ct.max()) - tmin + 2)
+        # one stateful._group_search over every run, clicks in run order
+        both = np.concatenate([pt, ct])  # ct is empty when no click's user bought
+        tmin = both.min()
+        span = both.max() - tmin + 1
         n_runs = len(run_keys)
-        max_g = max(1, int(np.iinfo(np.int64).max // int(span)) - 1)
         prun = np.repeat(np.arange(n_runs, dtype=np.int64), run_ends - runs)
         succ = np.empty(len(ct), dtype=np.int64)
         corder = np.argsort(ri, kind="stable")
-        ri_s = ri[corder]
-        for g0 in range(0, n_runs, max_g):
-            p0 = runs[g0]
-            p1 = runs[g0 + max_g] if g0 + max_g < n_runs else len(pt)
-            sh_p = (pt[p0:p1] - tmin) + (prun[p0:p1] - g0) * span
-            c0 = np.searchsorted(ri_s, g0, side="left")
-            c1 = np.searchsorted(ri_s, g0 + max_g, side="left")
-            ci = corder[c0:c1]
-            sh_c = (ct[ci] - tmin) + (ri[ci] - g0) * span
-            succ[ci] = p0 + np.searchsorted(sh_p, sh_c)
+        succ[corder] = _group_search(pt, prun, ct[corder], ri[corder],
+                                     np.full(n_runs, tmin), np.full(n_runs, span), "left")
         pred = succ - 1
         d_succ = np.where(succ < hi, np.abs(pt[np.minimum(succ, len(pt) - 1)] - ct),
                           np.int64(1 << 62))
@@ -6233,10 +5910,6 @@ def q_session_paths(sf_dir: str, gap_s: int = 1800, depth: int = 3,
     G = gap_s * 1_000_000
 
     def per_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({"path": pa.array([], pa.string()),
-                          "n_sessions": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
         uid = t["user_id"].to_numpy()
         eid = t["event_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -6262,7 +5935,7 @@ def q_session_paths(sf_dir: str, gap_s: int = 1800, depth: int = 3,
         )
 
     rows = (
-        _by_user_partition(ds)
+        _by_key_partition(ds, "user_id")
         .map_groups(per_part, batch_format="pyarrow")
         .groupby("path")
         .aggregate(Sum("n_sessions", alias_name="n_sessions"))
@@ -6399,13 +6072,6 @@ def q_ohlc_hourly(sf_dir: str):
 
     def fold(t: pa.Table) -> pa.Table:
         t = t.drop_columns(["__kp"])
-        empty = pa.table(
-            {"hour_us": pa.array([], pa.int64()), "open_cents": pa.array([], pa.int64()),
-             "high_cents": pa.array([], pa.int64()), "low_cents": pa.array([], pa.int64()),
-             "close_cents": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if t.num_rows == 0:
-            return empty
         h = t["hour_us"].to_numpy()
         # open candidate order: (hour, ts_o, eid_o); close: (hour, -ts_c...)
         o_ord = np.lexsort((t["eid_o"].to_numpy(), t["ts_o"].to_numpy(), h))
@@ -6618,42 +6284,6 @@ def q_weighted_median(sf_dir: str, bucket: int = 4096):
 # ---------------------------------------------------------------------------
 
 
-def _segmented_probe_counts(
-    ts_s: np.ndarray,
-    gidx: np.ndarray,
-    amask: np.ndarray,
-    pmask: np.ndarray,
-    W: int,
-    max_g: int | None = None,
-) -> np.ndarray:
-    """For every anchor row (``amask``) the count of probe rows (``pmask``)
-    in the SAME group with ts in the half-open window ``(a_ts, a_ts + W]``
-    — the "B follows A within W" CEP primitive.  Same composite-offset +
-    group-chunking scheme as ``_segmented_range_counts`` (offsets stay in
-    int64 for any group count).  Inputs must be group-then-ts sorted."""
-    n = len(ts_s)
-    out = np.zeros(int(amask.sum()), dtype=np.int64)
-    if n == 0 or len(out) == 0:
-        return out
-    span = np.int64(ts_s.max() - ts_s.min() + W + 2)
-    base = ts_s - ts_s.min()
-    n_groups = int(gidx[-1]) + 1
-    if max_g is None:
-        max_g = max(1, int(np.iinfo(np.int64).max // int(span)) - 1)
-    a_cum = np.cumsum(amask) - 1  # anchor rank per row (valid where amask)
-    for g0 in range(0, n_groups, max_g):
-        i0 = np.searchsorted(gidx, g0, side="left")
-        i1 = np.searchsorted(gidx, g0 + max_g, side="left")
-        shifted = base[i0:i1] + (gidx[i0:i1] - g0) * span
-        am, pm = amask[i0:i1], pmask[i0:i1]
-        probes = shifted[pm]
-        a_shift = shifted[am]
-        lo = np.searchsorted(probes, a_shift, side="right")
-        hi = np.searchsorted(probes, a_shift + W, side="right")
-        out[a_cum[i0:i1][am]] = hi - lo
-    return out
-
-
 def q_cep_absence(sf_dir: str, window_s: int = 600):
     """CEP absence / negation pattern: per user, the number of 'error'
     events with NO 'purchase' in the following ``window_s`` seconds
@@ -6667,8 +6297,6 @@ def q_cep_absence(sf_dir: str, window_s: int = 600):
     def per_part(t: pa.Table) -> pa.Table:
         empty = pa.table({"user_id": pa.array([], pa.int64()),
                           "n_unanswered": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
         uid = t["user_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].to_numpy()
@@ -6684,7 +6312,14 @@ def q_cep_absence(sf_dir: str, window_s: int = 600):
         if not amask.any():
             return empty
         pmask = et_s == "purchase"
-        counts = _segmented_probe_counts(ts_s, gidx, amask, pmask, W)
+        # purchases in (a, a + W] of the error's own user
+        starts = np.flatnonzero(change)
+        lo_g = ts_s[starts]
+        width = np.maximum.reduceat(ts_s, starts) - lo_g + W + 1
+        a_ts, a_g = ts_s[amask], gidx[amask]
+        p_ts, p_g = ts_s[pmask], gidx[pmask]
+        counts = _group_search(p_ts, p_g, a_ts + W, a_g, lo_g, width, "right") - _group_search(
+            p_ts, p_g, a_ts, a_g, lo_g, width, "right")
         unanswered = counts == 0
         # per-user sum of unanswered errors (bincount over anchor groups)
         a_g = gidx[amask]
@@ -6698,7 +6333,7 @@ def q_cep_absence(sf_dir: str, window_s: int = 600):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_scd2_intervals(sf_dir: str):
@@ -6714,15 +6349,6 @@ def q_scd2_intervals(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "event_type": pa.array([], pa.string()),
-                "valid_from_us": pa.array([], pa.int64()),
-                "valid_to_us": pa.array([], pa.int64()),
-                "version": pa.array([], pa.int64()),
-                "start_event_id": pa.array([], pa.int64()),
-            })
         uid = t["user_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].to_numpy()
@@ -6763,7 +6389,7 @@ def q_scd2_intervals(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_cdc_upsert(sf_dir: str):
@@ -6777,13 +6403,6 @@ def q_cdc_upsert(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
     def per_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "event_type": pa.array([], pa.string()),
-                "value_cents": pa.array([], pa.int64()),
-                "last_event_id": pa.array([], pa.int64()),
-            })
         uid = t["user_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
         eid = t["event_id"].to_numpy()
@@ -6809,7 +6428,7 @@ def q_cdc_upsert(sf_dir: str):
             }
         )
 
-    return _by_user_partition(ds).map_groups(per_part, batch_format="pyarrow")
+    return _by_key_partition(ds, "user_id").map_groups(per_part, batch_format="pyarrow")
 
 
 def q_ewma_hourly(sf_dir: str, window_h: int = 16):

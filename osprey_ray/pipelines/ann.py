@@ -13,11 +13,16 @@ All in float64 so ranking ties match DuckDB's double math.
 
 from __future__ import annotations
 
+import logging
 from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from osprey_ray.pipelines.analytics import _by_key_partition, _splitmix64
+
+_log = logging.getLogger(__name__)
 
 
 def _read_emb(sf_dir: str):
@@ -78,8 +83,6 @@ def _train_sample(sf_dir: str, cap: int = TRAIN_SAMPLE_CAP) -> np.ndarray:
     partitionings)."""
     import pyarrow.parquet as pq
     import ray
-
-    from osprey_ray.pipelines.textops import _splitmix64
 
     n_rows = pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows
     if n_rows <= cap:
@@ -456,12 +459,6 @@ def q_embed_neardup_lsh(
         _lsh_signature_fn(dim), batch_format="pyarrow"
     )
 
-    def part_key(t: pa.Table) -> pa.Table:
-        b = t["bucket"].to_numpy().astype(np.uint64)
-        tid = t["table_id"].to_numpy().astype(np.uint64)
-        key = (b * np.uint64(0x9E3779B97F4A7C15) ^ tid) % np.uint64(256)
-        return t.append_column("__bp", pa.array(key.view(np.int64)))
-
     def pairs_in_part(t: pa.Table) -> pa.Table:
         tid = t["table_id"].to_numpy()
         b = t["bucket"].to_numpy()
@@ -470,8 +467,6 @@ def q_embed_neardup_lsh(
         tid, b, ids = tid[order], b[order], ids[order]
         n = len(ids)
         empty = pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         new = np.empty(n, dtype=bool)
         new[0] = True
         new[1:] = (tid[1:] != tid[:-1]) | (b[1:] != b[:-1])
@@ -491,7 +486,8 @@ def q_embed_neardup_lsh(
             a_out.append(ids[s:e][iu])
             b_out.append(ids[s:e][ju])
         if truncated:
-            print(f"[embed-lsh] {truncated} bucket(s) truncated to {MAX_NEARDUP_BUCKET} vecs")
+            _log.warning("[embed-lsh] %d bucket(s) truncated to %d vecs",
+                         truncated, MAX_NEARDUP_BUCKET)
         if not a_out:
             return empty
         return pa.table(
@@ -508,8 +504,7 @@ def q_embed_neardup_lsh(
     # exit) AND drops the aggregate's schema-less empty blocks, which the
     # join below would otherwise choke on
     cand = _pin_schema(
-        buckets.map_batches(part_key, batch_format="pyarrow")
-        .groupby("__bp")
+        _by_key_partition(buckets, "table_id", "bucket")
         .map_groups(pairs_in_part, batch_format="pyarrow")
         .groupby(["vec_a", "vec_b"])
         .aggregate(Count(alias_name="__nt"))
@@ -591,16 +586,7 @@ def q_embed_neardup_lsh(
         aggregator_ray_remote_args={"num_cpus": 0},
     )
 
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = t["vec_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["vec_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        key = (a * np.uint64(0x9E3779B97F4A7C15) ^ b) % np.uint64(256)
-        return t.append_column("__pp", pa.array(key.view(np.int64)))
-
     def verify_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
         a = t["vec_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["vec_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         side = t["side"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -615,10 +601,8 @@ def q_embed_neardup_lsh(
         hi = np.maximum(pa_ids, pb_ids)
         return pa.table({"vec_a": pa.array(lo, pa.int64()), "vec_b": pa.array(hi, pa.int64())})
 
-    out = (
-        joined.map_batches(pair_part, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(verify_part, batch_format="pyarrow")
+    out = _by_key_partition(joined, "vec_a", "vec_b").map_groups(
+        verify_part, batch_format="pyarrow"
     )
     # schema-stable result: an empty Dataset loses its schema via to_pandas.
     # The verified pair set is tiny (near-dups are sparse) and returned as a
@@ -1763,19 +1747,11 @@ def q_ann_pq(sf_dir: str, k: int = 5, n_queries: int = 10, m_sub: int = 8,
         # domain is tiny (m_sub × ks × sd ≤ 4096) and the sort-shuffle
         # fixed cost of Aggregate dominated each Lloyd iteration at sf0.1
         # (BASELINE §l)
-        from osprey_ray.pipelines.textops import _by_key_partition_col
-
         def comp_key(t: pa.Table) -> pa.Table:
             key = (t["sub"].to_numpy() * ks + t["code"].to_numpy()) * sd + t["dim"].to_numpy()
             return t.append_column("ckey", pa.array(key, pa.int64()))
 
         def sum_part(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {"ckey": pa.array([], pa.int64()), "v_sum": pa.array([], pa.float64()),
-                 "n": pa.array([], pa.int64())}
-            )
-            if t.num_rows == 0:
-                return empty
             ck = t["ckey"].to_numpy()
             uk, inv = np.unique(ck, return_inverse=True)
             return pa.table(
@@ -1789,7 +1765,7 @@ def q_ann_pq(sf_dir: str, k: int = 5, n_queries: int = 10, m_sub: int = 8,
             )
 
         upd = (
-            _by_key_partition_col(
+            _by_key_partition(
                 ds.map_batches(assign_partial, batch_format="pyarrow").map_batches(
                     comp_key, batch_format="pyarrow"
                 ),
@@ -1878,8 +1854,6 @@ def q_ann_ivfpq(sf_dir: str, k: int = 5, n_queries: int = 10, n_cells: int = 16,
     m_sub×ks×(dim/m_sub) floats.  Approximate → rows-only oracle; reports
     per-query recall vs exact brute force and the scanned candidate
     count."""
-    from osprey_ray.pipelines.textops import _by_key_partition_col
-
     q_ids, q_m = _query_set(sf_dir, n_queries)
     qn = _normalize(q_m)
     dim = qn.shape[1]
@@ -1892,10 +1866,6 @@ def q_ann_ivfpq(sf_dir: str, k: int = 5, n_queries: int = 10, n_cells: int = 16,
         """groupby(key).sum via routing-hash partition callback."""
 
         def sum_part(t: pa.Table) -> pa.Table:
-            cols = {key_col: pa.array([], pa.int64())}
-            cols.update({v: pa.array([], pa.float64()) for v in val_cols})
-            if t.num_rows == 0:
-                return pa.table(cols)
             kk = t[key_col].to_numpy()
             uk, inv = np.unique(kk, return_inverse=True)
             out = {key_col: pa.array(uk, pa.int64())}
@@ -1904,7 +1874,7 @@ def q_ann_ivfpq(sf_dir: str, k: int = 5, n_queries: int = 10, n_cells: int = 16,
             return pa.table(out)
 
         return (
-            _by_key_partition_col(partials, key_col)
+            _by_key_partition(partials, key_col)
             .map_groups(sum_part, batch_format="pyarrow")
             .to_pandas()
         )

@@ -158,11 +158,6 @@ def q_small_qty_revenue(sf_dir: str, brand: str = "Brand#23"):
     def grp(t: pa.Table) -> pa.Table:
         t = t.drop_columns(["__kp"])
         pk = t["partkey"].to_numpy()
-        if len(pk) == 0:
-            return pa.table(
-                {"revenue_cents": pa.array([0], pa.int64()),
-                 "n_items": pa.array([0], pa.int64())}
-            )
         order = np.argsort(pk, kind="stable")
         q = t["qty100"].to_numpy()[order]
         c = t["cents"].to_numpy()[order]
@@ -1536,9 +1531,6 @@ def q_waiting_suppliers(sf_dir: str, late_days: int = 30, top_n: int = 20):
     def sole_late(t: pa.Table) -> pa.Table:
         t = t.drop_columns(["__kp"])
         ok = t["orderkey"].to_numpy()
-        if len(ok) == 0:
-            return pa.table({"suppkey": pa.array([], pa.int64()),
-                             "numwait": pa.array([], pa.int64())})
         order = np.lexsort((t["suppkey"].to_numpy(), ok))
         ok_d = ok[order]
         sk_d = t["suppkey"].to_numpy()[order]
@@ -1698,8 +1690,6 @@ def q_brand_coverage(sf_dir: str, brands: tuple = ("Brand#12", "Brand#23")):
     def or_reduce(t: pa.Table) -> pa.Table:
         t = t.drop_columns(["__kp"])
         ck = t["custkey"].to_numpy()
-        if len(ck) == 0:
-            return pa.table({"custkey": pa.array([], pa.int64())})
         m = t["mask"].to_numpy()
         order = np.argsort(ck, kind="stable")
         ck_s, m_s = ck[order], m[order]
@@ -1839,13 +1829,6 @@ def q_entity_resolution(sf_dir: str):
     ds = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
 
     def per_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "dirty_custkey": pa.array([], pa.int64()),
-            "matched_custkey": pa.array([], pa.int64()),
-            "lev_dist": pa.array([], pa.int64()),
-        })
-        if t.num_rows == 0:
-            return empty
         key = t["c_custkey"].to_numpy()
         nat = t["c_nationkey"].to_numpy()
         names = np.asarray(t["c_name"].to_numpy(zero_copy_only=False), dtype=object)

@@ -12,6 +12,7 @@ verification step touches candidate pairs.
 from __future__ import annotations
 
 import hashlib
+import logging
 import re
 from functools import lru_cache
 
@@ -20,6 +21,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data.aggregate import Count
+
+from osprey_ray.pipelines.analytics import _by_key_partition, _splitmix64
+
+_log = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -244,14 +249,6 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return vals.min(axis=0)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized uint64 (public algorithm)."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 class MinHasher:
     """Actor-pool MinHash stage, fully vectorized: tokens are
     dictionary-encoded to int ids, 3-gram shingle hashes are a splitmix64
@@ -369,8 +366,6 @@ def _band_candidate_pairs(t: pa.Table) -> pa.Table:
     order = np.lexsort((ids, bh, band))
     band, bh, ids = band[order], bh[order], ids[order]
     n = len(ids)
-    if n == 0:
-        return pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
     new = np.empty(n, dtype=bool)
     new[0] = True
     new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
@@ -390,7 +385,7 @@ def _band_candidate_pairs(t: pa.Table) -> pa.Table:
         a_out.append(ids[s:e][iu])
         b_out.append(ids[s:e][ju])
     if truncated:
-        print(f"[minhash-lsh] {truncated} bucket(s) truncated to {MAX_BUCKET_DOCS} docs")
+        _log.warning("[minhash-lsh] %d bucket(s) truncated to %d docs", truncated, MAX_BUCKET_DOCS)
     if not a_out:
         return pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
     return pa.table(
@@ -560,20 +555,7 @@ def _verify_pairs_exact(ds, raw_cand, threshold: float, cap: int,
         aggregator_ray_remote_args={"num_cpus": 0},
     )
 
-    def pair_part(t: pa.Table) -> pa.Table:
-        key = _splitmix64(
-            t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            ^ _splitmix64(t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64))
-        )
-        return t.append_column("__pp", pa.array((key % np.uint64(256)).view(np.int64)))
-
     def verify_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),
-             out_col: pa.array([], pa.int64())}
-        )
-        if t.num_rows == 0:
-            return empty
         a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         side = t["side"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -596,8 +578,7 @@ def _verify_pairs_exact(ds, raw_cand, threshold: float, cap: int,
         )
 
     return (
-        joined.map_batches(pair_part, batch_format="pyarrow")
-        .groupby("__pp")
+        _by_key_partition(joined, "doc_a", "doc_b")
         .map_groups(verify_part, batch_format="pyarrow")
         .sort(["doc_a", "doc_b"])
     )
@@ -628,24 +609,16 @@ def q_minhash_neardup(sf_dir: str, threshold: float = 0.7,
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     bands = ds.map_batches(MinHasher(), batch_format="pyarrow", batch_size=256)
 
-    # co-locate each (band, band_hash) bucket, then vectorize over the whole
-    # partition instead of one Python callback per bucket
-    def bucket_part(t: pa.Table) -> pa.Table:
-        key = _splitmix64(
-            t["band_hash"].to_numpy().view(np.uint64)
-            ^ _splitmix64(t["band"].to_numpy().astype(np.uint64))
-        )
-        return t.append_column("__bp", pa.array((key % np.uint64(256)).view(np.int64)))
-
     import ray
     import ray.data as rd
 
     # raw (per-band, capped) candidate pairs, pinned: schema-carrying
     # blocks for everything downstream + a cheap count for the early exit
     # and the fast-path decision
+    # co-locate each (band, band_hash) bucket, then vectorize over the whole
+    # partition instead of one Python callback per bucket
     raw_cand = _pin_schema(
-        bands.map_batches(bucket_part, batch_format="pyarrow")
-        .groupby("__bp")
+        _by_key_partition(bands, "band", "band_hash")
         .map_groups(_band_candidate_pairs, batch_format="pyarrow"),
         pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]),
     )
@@ -665,14 +638,12 @@ def _prefix_candidate_pairs(t: pa.Table) -> pa.Table:
     gram = t["gram"].to_numpy().view(np.uint64)
     ids = t["doc_id"].to_numpy()
     sz = t["n_grams"].to_numpy()
-    thr10 = int(t["thr_pct"][0].as_py()) if t.num_rows else 70
+    thr10 = int(t["thr_pct"][0].as_py())
     order = np.lexsort((ids, gram))
     gram, ids, sz = gram[order], ids[order], sz[order]
     n = len(ids)
     empty = pa.table({"doc_a": pa.array([], pa.int64()),
                       "doc_b": pa.array([], pa.int64())})
-    if n == 0:
-        return empty
     new = np.empty(n, dtype=bool)
     new[0] = True
     new[1:] = gram[1:] != gram[:-1]
@@ -684,8 +655,8 @@ def _prefix_candidate_pairs(t: pa.Table) -> pa.Table:
         if m < 2:
             continue
         if m > 10_000:
-            print(f"[prefix-join] hot gram bucket with {m} docs "
-                  f"(frequency-ordered prefixes would shrink it)")
+            _log.warning("[prefix-join] hot gram bucket with %d docs "
+                         "(frequency-ordered prefixes would shrink it)", m)
         iu, ju = np.triu_indices(m, k=1)
         sa, sb = sz[s:e][iu], sz[s:e][ju]
         # length filter: J >= t needs min >= t*max (integer-exact at pct)
@@ -716,8 +687,6 @@ def _containment_candidate_pairs(t: pa.Table) -> pa.Table:
     n = len(ids)
     empty = pa.table({"doc_a": pa.array([], pa.int64()),
                       "doc_b": pa.array([], pa.int64())})
-    if n == 0:
-        return empty
     new = np.empty(n, dtype=bool)
     new[0] = True
     new[1:] = gram[1:] != gram[:-1]
@@ -730,7 +699,7 @@ def _containment_candidate_pairs(t: pa.Table) -> pa.Table:
         if len(p_ids) == 0 or len(run_ids) < 2:
             continue
         if len(run_ids) > 10_000:
-            print(f"[containment-join] hot gram bucket with {len(run_ids)} docs")
+            _log.warning("[containment-join] hot gram bucket with %d docs", len(run_ids))
         a = np.repeat(p_ids, len(run_ids))
         b = np.tile(run_ids, len(p_ids))
         keep = a != b
@@ -782,23 +751,18 @@ def q_containment_join(sf_dir: str, threshold: float = 0.8,
             return pa.table(
                 {"gram": pa.array([], pa.uint64()),
                  "doc_id": pa.array([], pa.int64()),
-                 "in_prefix": pa.array([], pa.int64()),
-                 "__gp": pa.array([], pa.int64())}
+                 "in_prefix": pa.array([], pa.int64())}
             )
-        g = np.concatenate(grams)
-        out = pa.table(
+        return pa.table(
             {
-                "gram": pa.array(g, pa.uint64()),
+                "gram": pa.array(np.concatenate(grams), pa.uint64()),
                 "doc_id": pa.array(np.concatenate(docs), pa.int64()),
                 "in_prefix": pa.array(np.concatenate(pref), pa.int64()),
             }
         )
-        route = (_splitmix64(g) % np.uint64(256)).view(np.int64)
-        return out.append_column("__gp", pa.array(route))
 
     raw_cand = _pin_schema(
-        ds.map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("__gp")
+        _by_key_partition(ds.map_batches(gram_rows, batch_format="pyarrow"), "gram")
         .map_groups(_containment_candidate_pairs, batch_format="pyarrow"),
         pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]),
     )
@@ -854,11 +818,10 @@ def q_prefix_join(sf_dir: str, threshold: float = 0.7,
                 {"gram": pa.array([], pa.uint64()),
                  "doc_id": pa.array([], pa.int64()),
                  "n_grams": pa.array([], pa.int64()),
-                 "thr_pct": pa.array([], pa.int64()),
-                 "__gp": pa.array([], pa.int64())}
+                 "thr_pct": pa.array([], pa.int64())}
             )
         g = np.concatenate(grams)
-        out = pa.table(
+        return pa.table(
             {
                 "gram": pa.array(g, pa.uint64()),
                 "doc_id": pa.array(np.concatenate(docs), pa.int64()),
@@ -868,12 +831,9 @@ def q_prefix_join(sf_dir: str, threshold: float = 0.7,
                 ),
             }
         )
-        route = (_splitmix64(g) % np.uint64(256)).view(np.int64)
-        return out.append_column("__gp", pa.array(route))
 
     raw_cand = _pin_schema(
-        ds.map_batches(prefix_rows, batch_format="pyarrow")
-        .groupby("__gp")
+        _by_key_partition(ds.map_batches(prefix_rows, batch_format="pyarrow"), "gram")
         .map_groups(_prefix_candidate_pairs, batch_format="pyarrow"),
         pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]),
     )
@@ -991,14 +951,12 @@ def q_simhash_pairs(sf_dir: str, max_hamming: int = 3):
         seg = np.tile(np.arange(4, dtype=np.uint64), n)
         hh = np.repeat(h, 4)
         val = (hh >> (seg * np.uint64(16))) & np.uint64(0xFFFF)
-        part = _splitmix64(val ^ _splitmix64(seg)) % np.uint64(256)
         return pa.table(
             {
                 "doc_id": pa.array(np.repeat(ids, 4), pa.int64()),
                 "simhash": pa.array(hh, pa.uint64()),
                 "seg": pa.array(seg.view(np.int64), pa.int64()),
                 "val": pa.array(val.view(np.int64), pa.int64()),
-                "__bp": pa.array(part.view(np.int64), pa.int64()),
             }
         )
 
@@ -1007,8 +965,6 @@ def q_simhash_pairs(sf_dir: str, max_hamming: int = 3):
             {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),
              "hamming": pa.array([], pa.int64())}
         )
-        if t.num_rows == 0:
-            return empty
         seg = t["seg"].to_numpy()
         val = t["val"].to_numpy()
         ids = t["doc_id"].to_numpy()
@@ -1082,9 +1038,9 @@ def q_simhash_pairs(sf_dir: str, max_hamming: int = 3):
                     b_out.append(np.maximum(ra, rb))
                     d_out.append(np.full(len(ra), np.int64(db[i_l, j_l])))
         if truncated:
-            print(
-                f"[simhash] {truncated} bucket(s) truncated to "
-                f"{MAX_BUCKET_UNIQUE} distinct hashes"
+            _log.warning(
+                "[simhash] %d bucket(s) truncated to %d distinct hashes",
+                truncated, MAX_BUCKET_UNIQUE,
             )
         if not a_out:
             return empty
@@ -1102,8 +1058,7 @@ def q_simhash_pairs(sf_dir: str, max_hamming: int = 3):
         [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("hamming", pa.int64())]
     )
     raw = _pin_schema(
-        sh.map_batches(explode, batch_format="pyarrow")
-        .groupby("__bp")
+        _by_key_partition(sh.map_batches(explode, batch_format="pyarrow"), "seg", "val")
         .map_groups(pairs_in_part, batch_format="pyarrow"),
         schema,
     )
@@ -1445,18 +1400,7 @@ def q_inverted_index(sf_dir: str, n_terms: int = 50, max_postings: int = 20):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            ("term", pa.string()),
-            ("df", pa.int64()),
-            ("posting_rank", pa.int64()),
-            ("doc_id", pa.int64()),
-        ]
-    )
-
     def final(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         term = t["term"][0].as_py()
         doc = t["doc_id"].to_numpy()
         df = int(t["w"].to_numpy().sum())
@@ -1700,17 +1644,14 @@ def q_bigram_lm(sf_dir: str, top_n: int = 100):
 
     Scale shape: per-batch bigram ``value_counts`` combiner (one row per
     DISTINCT bigram per batch) → bigram-keyed groupby sum → split into
-    (w1, w2) + a w1 ROUTING hash (blake2b over the batch-unique w1 set,
-    never per row) → ONE callback per hash-bucket partition computes
+    (w1, w2) → the keyed exchange on w1 (``analytics._by_key_partition``)
+    → ONE callback per hash-bucket partition computes
     every head in it with a vectorized lexsort + reduceat (NOT a
     per-w1 map_groups — at web scale w1 cardinality is the vocabulary,
     and millions of one-row Python group callbacks is the per-row-loop
     anti-pattern one level up) → tiny vocab-bounded sort + limit."""
     from ray.data.aggregate import Sum
 
-    from osprey_ray.pipelines.analytics import _key_parts
-
-    P = _key_parts(None)
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1744,42 +1685,15 @@ def q_bigram_lm(sf_dir: str, top_n: int = 100):
         parts = pc.split_pattern(t["bigram"], pattern=" ", max_splits=1)
         if isinstance(parts, pa.ChunkedArray):
             parts = parts.combine_chunks()
-        w1 = pc.list_element(parts, 0)
-        # route by a 64-bit hash of w1: blake2b over the batch-UNIQUE w1
-        # set (vocab-bounded), mapped back through the inverse index
-        uw, inv = np.unique(w1.to_numpy(zero_copy_only=False), return_inverse=True)
-        uh = np.array(
-            [
-                int.from_bytes(
-                    hashlib.blake2b(str(s).encode(), digest_size=8).digest(), "big"
-                )
-                % P
-                for s in uw
-            ],
-            dtype=np.int64,
-        )
         return pa.table(
             {
-                "w1": w1,
+                "w1": pc.list_element(parts, 0),
                 "w2": pc.list_element(parts, 1),
                 "n": t["n"],
-                "__kp": pa.array(uh[inv], pa.int64()),
             }
         )
 
-    head_schema = pa.schema(
-        [
-            ("token", pa.string()),
-            ("next_token", pa.string()),
-            ("n", pa.int64()),
-            ("cond_ppm", pa.int64()),
-            ("total", pa.int64()),
-        ]
-    )
-
     def heads(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return head_schema.empty_table()
         w1 = t["w1"].to_numpy(zero_copy_only=False)
         w2 = t["w2"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy()
@@ -1801,8 +1715,7 @@ def q_bigram_lm(sf_dir: str, top_n: int = 100):
         )
 
     return (
-        merged.map_batches(split, batch_format="pyarrow")
-        .groupby("__kp")
+        _by_key_partition(merged.map_batches(split, batch_format="pyarrow"), "w1")
         .map_groups(heads, batch_format="pyarrow")
         .sort(["total", "token"], descending=[True, False])
         .limit(top_n)
@@ -1878,8 +1791,8 @@ def q_tfidf_top_terms(
       rows, so a doc never spans batches) — zero corpus-sized shuffles.
     * above the cap: the (doc, term, tf) pair set materializes once and
       tf⋈df rides Ray's hash-shuffle join on the token key, with the
-      per-doc argmax vectorized per hash partition (256 partitions,
-      lexsort + boundary pick) — never one Python callback per doc."""
+      per-doc argmax vectorized per ``_by_key_partition`` partition
+      (lexsort + boundary pick) — never one Python callback per doc."""
     from ray.data.aggregate import Sum
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
@@ -1982,18 +1895,7 @@ def q_tfidf_top_terms(
         aggregator_ray_remote_args={"num_cpus": 0},
     )
 
-    def part_key(t: pa.Table) -> pa.Table:
-        key = _splitmix64(t["doc_id"].to_numpy().astype(np.uint64))
-        return t.append_column("__dp", pa.array((key % np.uint64(256)).view(np.int64)))
-
     def argmax_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()), "term": pa.array([], pa.string()),
-             "tf": pa.array([], pa.int64()), "df": pa.array([], pa.int64()),
-             "score_ppm": pa.array([], pa.int64())}
-        )
-        if t.num_rows == 0:
-            return empty
         doc = t["doc_id"].to_numpy()
         tfv = t["tf"].to_numpy()
         dfv = t["df"].to_numpy()
@@ -2017,10 +1919,8 @@ def q_tfidf_top_terms(
             }
         )
 
-    return (
-        joined.map_batches(part_key, batch_format="pyarrow")
-        .groupby("__dp")
-        .map_groups(argmax_in_part, batch_format="pyarrow")
+    return _by_key_partition(joined, "doc_id").map_groups(
+        argmax_in_part, batch_format="pyarrow"
     )
 
 
@@ -2180,7 +2080,7 @@ def q_neardup_clusters(
             break
         prev_sum = cur
     else:
-        print(f"[neardup-clusters] label propagation hit max_rounds={max_rounds}")
+        _log.warning("[neardup-clusters] label propagation hit max_rounds=%d", max_rounds)
 
     out = _pin_schema(
         docs.join(
@@ -2627,37 +2527,12 @@ def q_line_dedup(sf_dir: str, line_tokens: int = 10):
                 "line_idx": pa.array(within, pa.int64()),
                 "line": lines,
                 "packed": pa.array(doc_rep * (1 << 20) + within, pa.int64()),
-                # 64-bit ROUTING hash only: winner selection below compares
-                # the actual line strings, so a collision merely co-locates
-                # two distinct lines (harmless), never merges them
-                "line_h": pa.array(
-                    np.array(
-                        [
-                            int.from_bytes(
-                                hashlib.blake2b(s.encode(), digest_size=8).digest(), "big"
-                            )
-                            for s in lines.to_pylist()
-                        ],
-                        dtype=np.uint64,
-                    ).view(np.int64),
-                    pa.int64(),
-                ),
             }
         )
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
     def mark_winners(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "line_idx": pa.array([], pa.int64()),
-                "line": pa.array([], pa.string()),
-                "kept": pa.array([], pa.bool_()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         line = t["line"].to_numpy(zero_copy_only=False)
         packed = t["packed"].to_numpy()
         # group by the TRUE line string (not the routing hash): min packed
@@ -2679,21 +2554,11 @@ def q_line_dedup(sf_dir: str, line_tokens: int = 10):
             }
         )
 
-    joined = _by_key_partition_col(exploded, "line_h").map_groups(
+    joined = _by_key_partition(exploded, "line").map_groups(
         mark_winners, batch_format="pyarrow"
     )
 
     def reassemble(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_lines": pa.array([], pa.int64()),
-                "n_kept": pa.array([], pa.int64()),
-                "kept_md5": pa.array([], pa.string()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         t = t.sort_by([("doc_id", "ascending"), ("line_idx", "ascending")])
         doc = t["doc_id"].to_numpy()
         kept = t["kept"].to_numpy(zero_copy_only=False)
@@ -2720,23 +2585,10 @@ def q_line_dedup(sf_dir: str, line_tokens: int = 10):
 
     # sort-based groupby tolerates the join's schema-less empty blocks
     # (same reasoning as q_tfidf_top_terms — no pinning materialization)
-    return _by_key_partition_docs(joined).map_groups(
+    return _by_key_partition(joined, "doc_id").map_groups(
         reassemble, batch_format="pyarrow"
     )
 
-
-def _by_key_partition_docs(ds, P: int | None = None):
-    """Shuffle by hash(doc_id) % P (cluster-sized; see
-    ``analytics._key_parts``); one vectorized callback per partition."""
-    from osprey_ray.pipelines.analytics import _key_parts
-
-    P = _key_parts(P)
-
-    def part(t: pa.Table) -> pa.Table:
-        key = _splitmix64(t["doc_id"].to_numpy().astype(np.uint64))
-        return t.append_column("__dp", pa.array((key % np.uint64(P)).view(np.int64)))
-
-    return ds.map_batches(part, batch_format="pyarrow").groupby("__dp")
 
 # ---------------------------------------------------------------------------
 # duplicated-n-gram contamination signal
@@ -2816,15 +2668,6 @@ def q_dup_ngrams(sf_dir: str, k: int = 5):
     gdc = ds.map_batches(explode, batch_format="pyarrow")
 
     def flag_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "dup": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         gh = t["gram_h"].to_numpy()
         c = t["c"].to_numpy()
         _, inv = np.unique(gh, return_inverse=True)
@@ -2838,20 +2681,11 @@ def q_dup_ngrams(sf_dir: str, k: int = 5):
             }
         )
 
-    flagged = _by_key_partition_col(gdc, "gram_h").map_groups(
+    flagged = _by_key_partition(gdc, "gram_h").map_groups(
         flag_in_part, batch_format="pyarrow"
     )
 
     def sum_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_grams": pa.array([], pa.int64()),
-                "n_dup_grams": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         doc = t["doc_id"].to_numpy()
         udoc, inv = np.unique(doc, return_inverse=True)
         return pa.table(
@@ -2866,24 +2700,10 @@ def q_dup_ngrams(sf_dir: str, k: int = 5):
             }
         )
 
-    return _by_key_partition_col(flagged, "doc_id").map_groups(
+    return _by_key_partition(flagged, "doc_id").map_groups(
         sum_in_part, batch_format="pyarrow"
     )
 
-
-def _by_key_partition_col(ds, col: str, P: int | None = None):
-    """Shuffle by splitmix64(col) % P (cluster-sized; see
-    ``analytics._key_parts``); one vectorized callback per partition (the
-    ``analytics._by_key_partition`` pattern for textops)."""
-    from osprey_ray.pipelines.analytics import _key_parts
-
-    P = _key_parts(P)
-
-    def part(t: pa.Table) -> pa.Table:
-        key = _splitmix64(t[col].to_numpy().astype(np.uint64))
-        return t.append_column("__kp", pa.array((key % np.uint64(P)).view(np.int64)))
-
-    return ds.map_batches(part, batch_format="pyarrow").groupby("__kp")
 
 # ---------------------------------------------------------------------------
 # adaptive (percentile-threshold) quality filter — two-pass broadcast
@@ -3010,16 +2830,6 @@ def q_top_tokens_per_source(sf_dir: str, k: int = 5):
         )
 
     def topk_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "source": pa.array([], pa.string()),
-                "token": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "rnk": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         # sum the per-batch partials for each (source, token) — all of a
         # source's rows are co-located here, so the global count is local
         src = t["source"].to_numpy(zero_copy_only=False)
@@ -3047,22 +2857,9 @@ def q_top_tokens_per_source(sf_dir: str, k: int = 5):
             }
         )
 
-    def part(t: pa.Table) -> pa.Table:
-        src = t["source"].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(src, return_inverse=True)
-        # md5 per UNIQUE source (bounded), broadcast via the inverse index
-        h = np.array(
-            [int(hashlib.md5(s.encode()).hexdigest()[:8], 16) % 64 for s in u],
-            dtype=np.int64,
-        )
-        return t.append_column("__sp", pa.array(h[inv]))
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(part, batch_format="pyarrow")
-        .groupby("__sp")
-        .map_groups(topk_in_part, batch_format="pyarrow")
-    )
+    return _by_key_partition(
+        ds.map_batches(partial, batch_format="pyarrow"), "source"
+    ).map_groups(topk_in_part, batch_format="pyarrow")
 
 # ---------------------------------------------------------------------------
 # composed curation pipeline: quality filter -> exact dedup -> accounting
@@ -3106,17 +2903,6 @@ def q_corpus_curate(sf_dir: str):
     s1 = ds.map_batches(stage1, batch_format="pyarrow")
 
     def mark(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "source": pa.array([], pa.string()),
-                "one": pa.array([], pa.int64()),
-                "q": pa.array([], pa.int64()),
-                "u": pa.array([], pa.int64()),
-                "utok": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         doc = t["doc_id"].to_numpy()
         quality = t["quality"].to_numpy(zero_copy_only=False)
         # winner per full digest among quality docs: min doc_id (non-quality
@@ -3141,7 +2927,7 @@ def q_corpus_curate(sf_dir: str):
             }
         )
 
-    marked = _by_key_partition_col(s1, "route").map_groups(mark, batch_format="pyarrow")
+    marked = _by_key_partition(s1, "route").map_groups(mark, batch_format="pyarrow")
     return marked.groupby("source").aggregate(
         Sum("one", alias_name="n_input"),
         Sum("q", alias_name="n_quality"),
@@ -3202,19 +2988,7 @@ def q_corpus_prep(sf_dir: str, capacity: int = 256, part_rows: int = 128):
             }
         )
 
-    surv_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("source", pa.string()),
-            ("red_md5", pa.string()),
-            ("n_tokens", pa.int64()),
-            ("__part", pa.int64()),
-        ]
-    )
-
     def survivors(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return surv_schema.empty_table()
         doc = t["doc_id"].to_numpy()
         quality = t["quality"].to_numpy(zero_copy_only=False)
         # winner per full digest among quality docs: min doc_id (the
@@ -3244,20 +3018,7 @@ def q_corpus_prep(sf_dir: str, capacity: int = 256, part_rows: int = 128):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("source", pa.string()),
-            ("n_tokens", pa.int64()),
-            ("red_md5", pa.string()),
-            ("bin_id", pa.int64()),
-            ("shuffle_key", pa.int64()),
-        ]
-    )
-
     def pack(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         doc = t["doc_id"].to_numpy()
         ntok = t["n_tokens"].to_numpy()
         part_id = int(t["__part"][0].as_py())
@@ -3286,7 +3047,7 @@ def q_corpus_prep(sf_dir: str, capacity: int = 256, part_rows: int = 128):
         )
 
     s1 = ds.map_batches(stage1, batch_format="pyarrow")
-    surv = _by_key_partition_col(s1, "route").map_groups(
+    surv = _by_key_partition(s1, "route").map_groups(
         survivors, batch_format="pyarrow"
     )
     return surv.groupby("__part").map_groups(pack, batch_format="pyarrow")
@@ -3353,15 +3114,6 @@ def q_source_overlap(sf_dir: str, k: int = 5):
     gs = ds.map_batches(explode, batch_format="pyarrow")
 
     def pairs_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "src_a": pa.array([], pa.string()),
-                "src_b": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         gh = t["gram_h"].to_numpy()
         src = t["source"].to_numpy(zero_copy_only=False)
         usrc, scode = np.unique(src, return_inverse=True)
@@ -3397,7 +3149,7 @@ def q_source_overlap(sf_dir: str, k: int = 5):
         )
 
     return (
-        _by_key_partition_col(gs, "gram_h")
+        _by_key_partition(gs, "gram_h")
         .map_groups(pairs_in_part, batch_format="pyarrow")
         .groupby(["src_a", "src_b"])
         .aggregate(Sum("n", alias_name="shared_grams"))
@@ -3471,15 +3223,6 @@ def q_doc_surprisal(sf_dir: str):
     tdc = ds.map_batches(explode, batch_format="pyarrow")
 
     def surprise_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         th = t["tok_h"].to_numpy()
         c = t["c"].to_numpy()
         _, inv = np.unique(th, return_inverse=True)
@@ -3494,21 +3237,11 @@ def q_doc_surprisal(sf_dir: str):
             }
         )
 
-    flagged = _by_key_partition_col(tdc, "tok_h").map_groups(
+    flagged = _by_key_partition(tdc, "tok_h").map_groups(
         surprise_in_part, batch_format="pyarrow"
     )
 
     def sum_in_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "surprisal_sum": pa.array([], pa.int64()),
-                "surprisal_mean": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         doc = t["doc_id"].to_numpy()
         udoc, inv = np.unique(doc, return_inverse=True)
         n = np.bincount(inv, weights=t["n"].to_numpy()).astype(np.int64)
@@ -3522,7 +3255,7 @@ def q_doc_surprisal(sf_dir: str):
             }
         )
 
-    return _by_key_partition_col(flagged, "doc_id").map_groups(
+    return _by_key_partition(flagged, "doc_id").map_groups(
         sum_in_part, batch_format="pyarrow"
     )
 
@@ -3784,10 +3517,6 @@ def q_bloom_dedup(
         .materialize()
     )
 
-    out_schema = pa.schema(
-        [("doc_id", pa.int64()), ("content_hash", pa.string()), ("is_dup", pa.bool_())]
-    )
-
     def pass_through(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(t["cand"]))
         return pa.table(
@@ -3799,8 +3528,6 @@ def q_bloom_dedup(
         )
 
     def confirm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         h = t["h64"].to_numpy()
         doc = t["doc_id"].to_numpy()
         _, inv = np.unique(h, return_inverse=True)
@@ -3818,7 +3545,7 @@ def q_bloom_dedup(
     cands = slim.map_batches(
         lambda t: t.filter(t["cand"]), batch_format="pyarrow"
     )
-    confirmed = _by_key_partition_col(cands, "h64").map_groups(
+    confirmed = _by_key_partition(cands, "h64").map_groups(
         confirm, batch_format="pyarrow"
     )
     # no _pin_schema here (saves a full materialize): the hash partition
@@ -4000,10 +3727,6 @@ def q_shuffle_deterministic(sf_dir: str, bucket_bits: int = 10):
         )
 
     def rank_in_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "shuffle_rank": pa.array([], pa.int64())}
-            )
         doc = t["doc_id"].to_numpy()
         h = t["h"].to_numpy().view(np.uint64)
         b = int(t["bucket"][0].as_py())
@@ -4166,16 +3889,6 @@ def q_bm25_topk(sf_dir: str, queries=BM25_QUERIES, k: int = 10):
         return t.take(pa.array(np.sort(sel)))
 
     def final_topk(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "query": pa.array([], pa.string()),
-                "doc_id": pa.array([], pa.int64()),
-                "score_scaled": pa.array([], pa.int64()),
-                "rnk": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
         q = t["query"].to_numpy(zero_copy_only=False)
         s = t["score_scaled"].to_numpy()
         d = t["doc_id"].to_numpy()
@@ -4427,13 +4140,7 @@ def q_substring_dedup(sf_dir: str, k: int = 5):
             }
         )
 
-    dup_schema = pa.schema(
-        [("doc_id", pa.int64()), ("pos", pa.int64()), ("n_tok", pa.int64())]
-    )
-
     def flag_dups(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return dup_schema.empty_table()
         h = t["gram_h"].to_numpy()
         _, inv, cnt = np.unique(h, return_inverse=True, return_counts=True)
         m = cnt[inv] >= 2
@@ -4445,20 +4152,7 @@ def q_substring_dedup(sf_dir: str, k: int = 5):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("n_tokens", pa.int64()),
-            ("dup_starts", pa.int64()),
-            ("covered_tokens", pa.int64()),
-            ("longest_run", pa.int64()),
-            ("n_runs", pa.int64()),
-        ]
-    )
-
     def coverage(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         doc = t["doc_id"].to_numpy()
         pos = t["pos"].to_numpy()
         ntk = t["n_tok"].to_numpy()
@@ -4507,11 +4201,11 @@ def q_substring_dedup(sf_dir: str, k: int = 5):
             }
         )
 
-    flagged = _by_key_partition_col(
+    flagged = _by_key_partition(
         ds.map_batches(explode, batch_format="pyarrow"), "gram_h"
     ).map_groups(flag_dups, batch_format="pyarrow")
     sent = ds.map_batches(sentinels, batch_format="pyarrow")
-    return _by_key_partition_col(sent.union(flagged), "doc_id").map_groups(
+    return _by_key_partition(sent.union(flagged), "doc_id").map_groups(
         coverage, batch_format="pyarrow"
     )
 
@@ -5428,14 +5122,6 @@ def q_best_docs_per_source(sf_dir: str, k: int = 5):
     |sources| keys."""
     ds = _read_docs(sf_dir, ["doc_id", "source", "text"])
     stop_list = tuple(sorted(STOPWORDS))
-    empty = pa.schema(
-        [
-            ("source", pa.string()),
-            ("doc_id", pa.int64()),
-            ("score", pa.int64()),
-            ("rnk", pa.int64()),
-        ]
-    )
 
     def partial_topk(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], pattern=" ")
@@ -5472,8 +5158,6 @@ def q_best_docs_per_source(sf_dir: str, k: int = 5):
         )
 
     def merge_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         score = t["score"].to_numpy().astype(np.int64)
         did = t["doc_id"].to_numpy().astype(np.int64)
         order = np.lexsort((did, -score))[:k]

@@ -28,6 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from osprey_ray.pipelines.analytics import _by_key_partition
+
 __all__ = [
     "conv_render",
     "conv_stats",
@@ -43,49 +45,6 @@ def _read_turns(dataset_dir: str, columns: list[str]):
     return rd.read_parquet(
         sorted(glob.glob(f"{dataset_dir}/batch/*.parquet")), columns=columns
     )
-
-
-def _route_by_conv(ds):
-    """Append ``__kp = blake2b64(conv_id) % P`` (cluster-sized P).  The
-    hash is computed once per batch-UNIQUE conv_id via dictionary
-    encoding — conversations repeat tens of times per batch, so the
-    Python blake2b loop runs over the small dictionary, never per row
-    (same shape as ``textops.q_bigram_lm``'s w1 routing)."""
-    from osprey_ray.pipelines.analytics import _key_parts
-
-    P = _key_parts(None)
-
-    def route(t: pa.Table) -> pa.Table:
-        col = t["conv_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        enc = col if pa.types.is_dictionary(col.type) else col.dictionary_encode()
-        dp = np.array(
-            [
-                int.from_bytes(
-                    hashlib.blake2b(c.encode(), digest_size=8).digest(), "big"
-                )
-                % P
-                for c in enc.dictionary.to_pylist()
-            ],
-            dtype=np.int64,
-        )
-        return t.append_column(
-            "__kp", pa.array(dp[enc.indices.to_numpy(zero_copy_only=False)], pa.int64())
-        )
-
-    return ds.map_batches(route, batch_format="pyarrow").groupby("__kp")
-
-
-_RENDER_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("n_turns", pa.int64()),
-        ("n_rendered", pa.int64()),
-        ("n_chars", pa.int64()),
-        ("rendered_md5", pa.string()),
-    ]
-)
 
 
 def conv_render(dataset_dir: str, last_k: int = 8):
@@ -108,8 +67,6 @@ def conv_render(dataset_dir: str, last_k: int = 8):
     ds = _read_turns(dataset_dir, ["conv_id", "turn_idx", "role", "text", "ts"])
 
     def render(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _RENDER_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -152,20 +109,7 @@ def conv_render(dataset_dir: str, last_k: int = 8):
             }
         )
 
-    return _route_by_conv(ds).map_groups(render, batch_format="pyarrow")
-
-
-_STATS_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("n_turns", pa.int64()),
-        ("n_user", pa.int64()),
-        ("n_assistant", pa.int64()),
-        ("n_tool_calls", pa.int64()),
-        ("total_chars", pa.int64()),
-        ("duration_s", pa.int64()),
-    ]
-)
+    return _by_key_partition(ds, "conv_id").map_groups(render, batch_format="pyarrow")
 
 
 def conv_stats(dataset_dir: str):
@@ -177,8 +121,6 @@ def conv_stats(dataset_dir: str):
     ds = _read_turns(dataset_dir, ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
 
     def stats(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _STATS_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -211,7 +153,7 @@ def conv_stats(dataset_dir: str):
         }
         return pa.table(out)
 
-    return _route_by_conv(ds).map_groups(stats, batch_format="pyarrow")
+    return _by_key_partition(ds, "conv_id").map_groups(stats, batch_format="pyarrow")
 
 
 _QA_SCHEMA = pa.schema(
@@ -237,8 +179,6 @@ def qa_pairs(dataset_dir: str):
     ds = _read_turns(dataset_dir, ["conv_id", "turn_idx", "role", "text", "ts"])
 
     def pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _QA_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -290,18 +230,7 @@ def qa_pairs(dataset_dir: str):
             }
         )
 
-    return _route_by_conv(ds).map_groups(pairs, batch_format="pyarrow")
-
-
-_SESS_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("session_idx", pa.int64()),
-        ("n_turns", pa.int64()),
-        ("start_us", pa.int64()),
-        ("end_us", pa.int64()),
-    ]
-)
+    return _by_key_partition(ds, "conv_id").map_groups(pairs, batch_format="pyarrow")
 
 
 def conv_sessions(dataset_dir: str, gap_s: int = 1800):
@@ -315,8 +244,6 @@ def conv_sessions(dataset_dir: str, gap_s: int = 1800):
     gap_us = gap_s * 1_000_000
 
     def sessions(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SESS_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -353,7 +280,7 @@ def conv_sessions(dataset_dir: str, gap_s: int = 1800):
             }
         )
 
-    return _route_by_conv(ds).map_groups(sessions, batch_format="pyarrow")
+    return _by_key_partition(ds, "conv_id").map_groups(sessions, batch_format="pyarrow")
 
 
 def tool_transitions(dataset_dir: str):
@@ -376,8 +303,6 @@ def tool_transitions(dataset_dir: str):
                 "n": pa.array([], pa.int64()),
             }
         )
-        if t.num_rows == 0:
-            return empty
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -409,7 +334,7 @@ def tool_transitions(dataset_dir: str):
         )
 
     return (
-        _route_by_conv(ds)
+        _by_key_partition(ds, "conv_id")
         .map_groups(partial, batch_format="pyarrow")
         .groupby(["from_tool", "to_tool"])
         .aggregate(Sum("n", alias_name="n"))
@@ -470,16 +395,6 @@ def domain_histogram(dataset_dir: str, top_n: int = 20):
     )
 
 
-_GAP_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("n_gaps", pa.int64()),
-        ("total_gap_us", pa.int64()),
-        ("max_gap_us", pa.int64()),
-    ]
-)
-
-
 def conv_turn_gap(dataset_dir: str):
     """Inter-turn latency per conversation: after keep-first dedup and
     turn_idx ordering, the count / exact total / max of consecutive-turn
@@ -494,8 +409,6 @@ def conv_turn_gap(dataset_dir: str):
     ds = _read_turns(dataset_dir, ["conv_id", "turn_idx", "ts"])
 
     def gaps(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _GAP_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -526,17 +439,7 @@ def conv_turn_gap(dataset_dir: str):
             }
         )
 
-    return _route_by_conv(ds).map_groups(gaps, batch_format="pyarrow")
-
-
-_CUTOFF_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("n_turns", pa.int64()),
-        ("cutoff_idx", pa.int64()),
-        ("chars_within", pa.int64()),
-    ]
-)
+    return _by_key_partition(ds, "conv_id").map_groups(gaps, batch_format="pyarrow")
 
 
 def conv_context_cutoff(dataset_dir: str, budget_chars: int = 2000):
@@ -553,8 +456,6 @@ def conv_context_cutoff(dataset_dir: str, budget_chars: int = 2000):
     ds = _read_turns(dataset_dir, ["conv_id", "turn_idx", "text", "ts"])
 
     def cutoff(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _CUTOFF_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -591,19 +492,7 @@ def conv_context_cutoff(dataset_dir: str, budget_chars: int = 2000):
             }
         )
 
-    return _route_by_conv(ds).map_groups(cutoff, batch_format="pyarrow")
-
-
-_SFT_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("role", pa.string()),
-        ("tok_start", pa.int64()),
-        ("tok_end", pa.int64()),
-        ("masked", pa.int64()),
-    ]
-)
+    return _by_key_partition(ds, "conv_id").map_groups(cutoff, batch_format="pyarrow")
 
 
 def sft_mask_spans(dataset_dir: str):
@@ -621,8 +510,6 @@ def sft_mask_spans(dataset_dir: str):
     ds = _read_turns(dataset_dir, ["conv_id", "turn_idx", "role", "text", "ts"])
 
     def spans(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SFT_SCHEMA.empty_table()
         t = t.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending"), ("ts", "ascending")]
         )
@@ -655,4 +542,4 @@ def sft_mask_spans(dataset_dir: str):
             }
         )
 
-    return _route_by_conv(ds).map_groups(spans, batch_format="pyarrow")
+    return _by_key_partition(ds, "conv_id").map_groups(spans, batch_format="pyarrow")

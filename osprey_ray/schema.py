@@ -1,8 +1,9 @@
 """Arrow schemas for the engine's tables.
 
-Input shape is the authoritative ``BASELINE.json`` input_hint:
-``(conv_id:string, turn_idx:int32, role:string, text:string, tool:string,
-ts:timestamp[us])``.  One row = one transcript turn = one osprey "Action"
+Input shape is the ``BASELINE.json`` input_hint ``(conv_id:string,
+turn_idx:int32, role:string, text, tool:string, ts:timestamp[us])``, with
+``text`` declared ``large_string``: what datagen writes and the engine
+reads.  One row = one transcript turn = one osprey "Action"
 (cf. /root/reference/osprey_worker/src/osprey/engine/executor/execution_context.py:296-332
 where an Action is ``action_id, action_name, data, timestamp``; here
 ``role``/``tool`` play the role of ``action_name`` dispatch and the columns
@@ -18,7 +19,7 @@ TRANSCRIPT_SCHEMA = pa.schema(
         ("conv_id", pa.string()),
         ("turn_idx", pa.int32()),
         ("role", pa.string()),
-        ("text", pa.string()),
+        ("text", pa.large_string()),
         ("tool", pa.string()),
         ("ts", pa.timestamp("us")),
     ]

@@ -173,24 +173,23 @@ def _running_segment_max(vals: np.ndarray, new_seg: np.ndarray, carry) -> np.nda
     by ``new_seg`` (True = segment starts at that row), floored by the
     per-row ``carry``.
 
-    Vectorized via the offset trick: add ``seg_id * (max(vals)+1)`` so a
+    Vectorized via the offset trick: add ``seg * (max(vals)+1)`` so a
     plain ``np.maximum.accumulate`` can never leak a value across a segment
     boundary (later segments sit strictly higher), then subtract the offset
-    back out.  Falls back to a pandas groupby cummax when the composite
-    would overflow int64 (astronomical segment counts x value range)."""
+    back out.  Segments run in chunks whose offsets stay below 2**62, so
+    the composite never wraps int64; most inputs are one chunk."""
     n = len(vals)
     if n == 0:
         return vals.astype(np.int64)
     v = vals.astype(np.int64)
     seg = np.cumsum(new_seg.astype(np.int64))
     off = int(v.max()) + 1
-    if int(seg[-1]) * off + off < np.iinfo(np.int64).max:
-        r = v + seg * np.int64(off)
-        out = np.maximum.accumulate(r) - seg * np.int64(off)
-    else:  # pragma: no cover - overflow-safe fallback
-        import pandas as pd
-
-        out = pd.Series(v).groupby(seg).cummax().to_numpy()
+    per_chunk = max(1, (1 << 62) // off)
+    cuts = np.append(np.searchsorted(seg, np.arange(seg[0], seg[-1] + 1, per_chunk)), n)
+    out = np.empty(n, dtype=np.int64)
+    for i0, i1 in zip(cuts[:-1], cuts[1:]):
+        o = (seg[i0:i1] - seg[i0]) * np.int64(off)
+        out[i0:i1] = np.maximum.accumulate(v[i0:i1] + o) - o
     return np.maximum(out, carry)
 
 

@@ -54,7 +54,7 @@ import ray
 
 from osprey_ray.io import parse_transcripts_json, write_parquet_atomic
 from osprey_ray.rules import RuleSpec
-from osprey_ray.stages.salted import HOT_BLOCK_TURNS, check_hot_routing, scan_seeds
+from osprey_ray.stages.salted import HOT_BLOCK_TURNS, _block_keys, check_hot_routing, scan_seeds
 from osprey_ray.stages.stateful import route_keys
 from osprey_ray.stages.stateless import StatelessStage, compile_stateless
 from osprey_ray.state.carry import (
@@ -147,8 +147,9 @@ def _read_route(
             blk = turn[row_hot] // np.int64(hot_block_turns)
             pair = idx[row_hot].astype(np.int64) << np.int64(32) | blk
             upair, inv = np.unique(pair, return_inverse=True)
-            keys = [f"{uniq[int(p) >> 32]}#{int(p) & 0xFFFFFFFF}" for p in upair]
-            parts[row_hot] = route_keys(keys, num_parts)[inv]
+            keys = _block_keys(enc.dictionary.take(pa.array(upair >> 32)),
+                               pa.array(upair & 0xFFFFFFFF))
+            parts[row_hot] = route_keys(keys.to_pylist(), num_parts)[inv]
     max_ts = pc.max(t1["ts"].cast(pa.int64())).as_py() if t1.num_rows else I64_MIN
     ci = t1.schema.get_field_index("conv_id")
     t1 = t1.set_column(ci, "conv_id", enc)

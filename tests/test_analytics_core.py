@@ -4,7 +4,18 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from osprey_ray.pipelines.analytics import _segmented_range_counts
+from osprey_ray.stages import stateful
+from osprey_ray.stages.stateful import _group_search, _running_segment_max
+
+
+def _range_counts(ts, gidx, W):
+    """Per-row count of same-group rows with ts in [row_ts - W, row_ts]:
+    the two ``_group_search`` calls ``q_sliding_window_counts`` makes."""
+    starts = np.flatnonzero(np.r_[True, gidx[1:] != gidx[:-1]])
+    lo = ts[starts] - W
+    width = np.maximum.reduceat(ts, starts) - lo + 1
+    return (_group_search(ts, gidx, ts, gidx, lo, width, "right")
+            - _group_search(ts, gidx, ts - W, gidx, lo, width, "left"))
 
 
 def _brute(ts, gidx, W):
@@ -14,48 +25,68 @@ def _brute(ts, gidx, W):
     return out
 
 
-def test_segmented_range_counts_matches_brute_force():
+def test_group_search_range_counts_match_brute_force():
     rng = np.random.default_rng(7)
     n_groups, rows_per = 40, 25
     gidx = np.repeat(np.arange(n_groups), rows_per)
-    ts = np.sort(rng.integers(0, 10**13, size=rows_per).astype(np.int64))
     ts = np.concatenate([np.sort(rng.integers(0, 10**13, size=rows_per).astype(np.int64))
                          for _ in range(n_groups)])
     W = 10**12
     want = _brute(ts, gidx, W)
-    got = _segmented_range_counts(ts, gidx, W)
+    got = _range_counts(ts, gidx, W)
     assert (got == want).all()
 
 
-def test_segmented_range_counts_chunked_runs_identical():
-    """The int64-overflow guard path (round-3 advice): forcing tiny group
-    runs must produce bit-identical counts to the single-run path."""
+def test_group_search_chunked_runs_identical(monkeypatch):
+    """The int64-overflow guard path: forcing chunks of a few groups must
+    produce bit-identical counts to the single-chunk path."""
     rng = np.random.default_rng(11)
     n_groups, rows_per = 37, 11
     gidx = np.repeat(np.arange(n_groups), rows_per)
     ts = np.concatenate([np.sort(rng.integers(0, 10**13, size=rows_per).astype(np.int64))
                          for _ in range(n_groups)])
     W = 5 * 10**11
-    one_run = _segmented_range_counts(ts, gidx, W)
-    for max_g in (1, 2, 3, 7, 36, 37, 100):
-        chunked = _segmented_range_counts(ts, gidx, W, max_g=max_g)
-        assert (chunked == one_run).all(), f"max_g={max_g} diverged"
+    one_run = _range_counts(ts, gidx, W)
+    span = float(ts.max() - ts.min() + W + 1)  # at least any group's width
+    for groups_per_chunk in (1, 2, 3, 7, 36, 37, 100):
+        monkeypatch.setattr(stateful, "_CHUNK", span * groups_per_chunk)
+        chunked = _range_counts(ts, gidx, W)
+        assert (chunked == one_run).all(), f"{groups_per_chunk} groups per chunk diverged"
     assert (one_run == _brute(ts, gidx, W)).all()
 
 
-def test_segmented_range_counts_would_overflow_case():
+def test_group_search_would_overflow_case():
     """A span × group-count product that exceeds int64 must still be
-    correct (the old code wrapped silently)."""
-    span_ts = np.int64(9 * 10**17)  # span ≈ 9e17 → max_g ≈ 9 groups
+    correct (a single composite range would wrap silently)."""
+    span_ts = np.int64(9 * 10**17)  # width ≈ 1.35e18 per group
     n_groups, rows_per = 50, 3
     gidx = np.repeat(np.arange(n_groups), rows_per)
     ts = np.tile(np.array([0, span_ts // 2, span_ts], dtype=np.int64), n_groups)
     W = int(span_ts // 2)
-    got = _segmented_range_counts(ts, gidx, W)
+    got = _range_counts(ts, gidx, W)
     assert (got == _brute(ts, gidx, W)).all()
-    # sanity: auto max_g really is below n_groups here (the guard engaged)
-    span = int(ts.max() - ts.min() + W + 2)
-    assert (np.iinfo(np.int64).max // span) - 1 < n_groups
+    # sanity: the groups' composite range really exceeds int64 here
+    assert float(ts.max() - ts.min() + W + 1) * n_groups > 2.0**63
+
+
+def test_running_segment_max_near_int64_limit():
+    """Values near 2**62 across several segments: ``seg * (max + 1)``
+    would overflow int64, so the segments run in chunks."""
+    rng = np.random.default_rng(5)
+    n = 400
+    vals = rng.integers(2**62 - 10**6, 2**62, n, dtype=np.int64)
+    low = rng.random(n) < 0.3
+    vals[low] = rng.integers(0, 10**6, int(low.sum()))
+    new_seg = rng.random(n) < 0.05
+    new_seg[0] = True
+    got = _running_segment_max(vals, new_seg, 0)
+    seg = np.cumsum(new_seg)
+    want = np.empty(n, dtype=np.int64)
+    for s in np.unique(seg):
+        m = seg == s
+        want[m] = np.maximum.accumulate(vals[m])
+    assert len(np.unique(seg)) > 3
+    assert (got == want).all()
 
 
 def test_range_join_boundaries_and_cross_user_isolation(ray_session, tmp_path):
@@ -242,32 +273,36 @@ def test_key_parts_sizes_from_cluster(ray_session):
     assert _key_parts() == 64
 
 
-def test_segmented_probe_counts_bruteforce_parity():
-    """_segmented_probe_counts == brute-force per-group window count,
-    including the chunked (small max_g) path."""
-    import numpy as np
-
-    from osprey_ray.pipelines.analytics import _segmented_probe_counts
-
+def test_group_search_probe_counts_bruteforce_parity(monkeypatch):
+    """Probe rows in (a, a + W] of each anchor's group — the two
+    ``_group_search`` calls ``q_cep_absence`` makes — equal a brute-force
+    per-group window count, including the chunked (3 groups) path."""
     rng = np.random.default_rng(7)
     n = 600
-    gidx = np.sort(rng.integers(0, 25, n))
+    _, gidx = np.unique(rng.integers(0, 25, n), return_inverse=True)
+    gidx = np.sort(gidx)
     ts = rng.integers(0, 5000, n)
     order = np.lexsort((ts, gidx))
     gidx, ts = gidx[order], ts[order]
     amask = rng.random(n) < 0.3
     pmask = (~amask) & (rng.random(n) < 0.5)
     W = 300
-    for max_g in (None, 3):
-        got = _segmented_probe_counts(ts, gidx, amask, pmask, W, max_g=max_g)
-        a_ts, a_g = ts[amask], gidx[amask]
-        p_ts, p_g = ts[pmask], gidx[pmask]
-        want = np.array(
-            [((p_g == g) & (p_ts > t) & (p_ts <= t + W)).sum()
-             for t, g in zip(a_ts, a_g)],
-            dtype=np.int64,
-        )
-        assert (got == want).all(), max_g
+    starts = np.flatnonzero(np.r_[True, gidx[1:] != gidx[:-1]])
+    lo = ts[starts]
+    width = np.maximum.reduceat(ts, starts) - lo + W + 1
+    a_ts, a_g = ts[amask], gidx[amask]
+    p_ts, p_g = ts[pmask], gidx[pmask]
+    want = np.array(
+        [((p_g == g) & (p_ts > t) & (p_ts <= t + W)).sum()
+         for t, g in zip(a_ts, a_g)],
+        dtype=np.int64,
+    )
+    for chunk in (None, 3 * float(width.max())):
+        if chunk is not None:
+            monkeypatch.setattr(stateful, "_CHUNK", chunk)
+        got = (_group_search(p_ts, p_g, a_ts + W, a_g, lo, width, "right")
+               - _group_search(p_ts, p_g, a_ts, a_g, lo, width, "right"))
+        assert (got == want).all(), chunk
 
 
 def test_scd2_intervals_invariants(ray_session):
@@ -623,6 +658,17 @@ def test_asof_nearest_tie_goes_to_earlier(ray_session, tmp_path):
     # user 9's click has no purchase -> dropped
     assert got["event_id"].tolist() == [2]
     assert got["nearest_purchase_ts"].astype("int64").tolist() == [100]
+
+    # a partition whose clicks all belong to users without a purchase
+    # emits nothing (one partition: user 11 only buys, user 12 only clicks)
+    from unittest import mock
+
+    from osprey_ray.pipelines import analytics
+
+    pq.write_table(t.slice(0, 2).set_column(
+        1, "user_id", pa.array([11, 12], pa.int64())), str(tmp_path / "events.parquet"))
+    with mock.patch.object(analytics, "_key_parts", lambda P=None: 1):
+        assert q_asof_nearest(str(tmp_path)).count() == 0
 
 
 def test_overlap_join_vs_bruteforce_random(ray_session, tmp_path):

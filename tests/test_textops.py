@@ -493,16 +493,14 @@ def test_partition_count_invariance_line_dedup_curate(ray_session):
     key group, so P is a pure performance knob)."""
     from unittest import mock
 
-    from osprey_ray.pipelines import textops
+    from osprey_ray.pipelines import analytics, textops
 
     SF = "/root/testdata/sf0.001"
 
     for fn, key in ((textops.q_line_dedup, "doc_id"), (textops.q_dup_ngrams, "doc_id")):
         a = fn(SF).to_pandas().sort_values(key).reset_index(drop=True)
-        orig = textops._by_key_partition_col
-        with mock.patch.object(
-            textops, "_by_key_partition_col", lambda ds, col, P=64: orig(ds, col, 4)
-        ):
+        # every keyed exchange sizes P through analytics._key_parts
+        with mock.patch.object(analytics, "_key_parts", lambda P=None: 4):
             b = fn(SF).to_pandas().sort_values(key).reset_index(drop=True)
         assert a.equals(b), f"{fn.__name__} differs between P=64 and P=4"
 
@@ -1677,15 +1675,12 @@ def test_partition_count_invariance_corpus_prep(ray_session):
     invariant: P on the md5-route exchange is a pure performance knob."""
     from unittest import mock
 
-    from osprey_ray.pipelines import textops
+    from osprey_ray.pipelines import analytics, textops
 
     SF = "/root/testdata/sf0.001"
     cols = ["doc_id", "bin_id", "shuffle_key"]
     a = textops.q_corpus_prep(SF).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    orig = textops._by_key_partition_col
-    with mock.patch.object(
-        textops, "_by_key_partition_col", lambda ds, col, P=64: orig(ds, col, 3)
-    ):
+    with mock.patch.object(analytics, "_key_parts", lambda P=None: 3):
         b = textops.q_corpus_prep(SF).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert a[cols].equals(b[cols]), "corpus_prep differs between P values"
 

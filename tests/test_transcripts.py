@@ -65,23 +65,22 @@ def test_conv_stats_semantics(tiny_log, ray_session):
 def test_conv_render_partition_invariance(ray_session):
     """The conv exchange must give identical output at any partition count
     (P only affects parallelism — SURVEY §4)."""
+    from unittest import mock
+
     from osprey_ray.datagen import ensure_dataset
     from osprey_ray.pipelines import analytics as A
 
     d = ensure_dataset(6_000, seed=42)
-    old = A._KEY_PARTS
-    try:
-        r1 = TR.conv_render(d).to_pandas().sort_values("conv_id").reset_index(drop=True)
-        A._KEY_PARTS = 7
-        # _key_parts takes max(_KEY_PARTS, 2*CPU); force small P via override
+    r1 = TR.conv_render(d).to_pandas().sort_values("conv_id").reset_index(drop=True)
+    # the keyed exchange sizes P through _key_parts (max(_KEY_PARTS,
+    # 2*CPU)); force a small P there
+    with mock.patch.object(A, "_key_parts", lambda P=None: 7):
         r2 = (
             TR.conv_render(d)
             .to_pandas()
             .sort_values("conv_id")
             .reset_index(drop=True)
         )
-    finally:
-        A._KEY_PARTS = old
     assert r1.equals(r2)
 
 

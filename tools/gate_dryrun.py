@@ -2,10 +2,14 @@
 ``oracle_sql()`` twin, timed, with the driver's compare semantics (sorted
 columns, canonical dtypes).  Usage::
 
-    PYTHONPATH=/root/repo python tools/gate_dryrun.py [sf_dir]
+    python tools/gate_dryrun.py [sf_dir] [query ...]
 
-Defaults to /root/testdata/sf0.01 (the driver's gate scale); writes a
-per-query JSON summary next to stdout at /tmp/gate_dryrun.json."""
+Gates the checkout the script lives in.  Defaults to the sf0.01 test data
+(the driver's gate scale); writes a per-query JSON summary next to stdout
+at /tmp/gate_dryrun.json, with a sha256 of each query's canonical output
+(``digest``, rows-only queries too) so two checkouts compare query by
+query."""
+import hashlib
 import json
 import math
 import os
@@ -17,6 +21,9 @@ import numpy as np
 import pandas as pd
 import ray
 
+# this checkout's package, also on the path Ray hands its workers
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 # size the local cluster to the CPUs this process may run on, so Ray does
 # not start a worker pool for cores the host does not give it
 ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
@@ -25,7 +32,6 @@ from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False
 
-sys.path.insert(0, "/root/repo")
 import __ray_entry__ as entrymod
 
 SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
@@ -73,6 +79,10 @@ def _canon(df):
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def _digest(df):
+    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
+
+
 QUERIES = entrymod.queries()
 try:
     ORACLES = entrymod.oracle_sql(SF_DIR)
@@ -90,12 +100,14 @@ for name in QUERIES:
     try:
         got = _to_pdf(QUERIES[name](SF_DIR))
         t_ray = time.time() - t0
+        g = _canon(got)
         if name not in ORACLES:
-            results[name] = {"ok": "rows_only", "rows": len(got), "t": round(t_ray, 2)}
+            results[name] = {"ok": "rows_only", "rows": len(got), "t": round(t_ray, 2),
+                             "digest": _digest(g)}
             print(f"{name:28s} rows_only rows={len(got):>7} t={t_ray:6.2f}s", flush=True)
             continue
         want = _con().execute(ORACLES[name]).df()
-        g, w = _canon(got), _canon(want)
+        w = _canon(want)
         status = "PASS"
         detail = ""
         if list(g.columns) != list(w.columns):
@@ -115,7 +127,8 @@ for name in QUERIES:
                 if bad:
                     status, detail = "HASH", f"{c}: {len(bad)} mismatches, first {gl[bad[0]]!r}!={wl[bad[0]]!r}"
                     break
-        results[name] = {"ok": status, "rows": len(g), "t": round(t_ray, 2), "detail": detail}
+        results[name] = {"ok": status, "rows": len(g), "t": round(t_ray, 2), "detail": detail,
+                         "digest": _digest(g)}
         print(f"{name:28s} {status:9s} rows={len(g):>7} t={t_ray:6.2f}s {detail}", flush=True)
     except Exception as ex:
         results[name] = {"ok": "ERROR", "detail": repr(ex)[:200]}
